@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_setting, load_config
 from .data import save_id_maps
-from .federation import Simulation, metrics_csv, rounds_csv, save_sim_state, load_sim_state
+from .federation import Simulation, load_sim_state, metrics_csv, rounds_csv, save_sim_state
 from .pretrain import write_codes
 from .strategies import (comm_cost, make_adapter, representation_capacity,
                          save_checkpoint, serialize_upload)
@@ -107,8 +107,7 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "config.txt", args.set or None)
-    sim = Simulation(cfg)
-    load_sim_state(sim, run_dir)
+    sim = Simulation(cfg, saved=load_sim_state(run_dir))
     table = sim.evaluate()
     print("metric,value")
     for name, value in table.items():
@@ -135,7 +134,8 @@ def _comm_rows(n: int, k: int, cfg: ExperimentConfig, ranks: list[int]) -> list[
         if actual != predicted:
             raise RuntimeError(f"cost model mismatch for {kind}: {predicted} != {actual}")
         rows.append({"strategy": label, "upload_bytes": predicted,
-                     "upload_kb": predicted / 1000.0, "representation": capacity})
+                     "upload_kb": predicted / 1000.0, "representation": capacity,
+                     "distinct": adapter.distinct_index_tuples(n) if kind == "hash" else ""})
 
     add("full", "full", comm_cost("full", n, k), representation_capacity("full", n))
     for r in ranks:
@@ -148,12 +148,12 @@ def _comm_rows(n: int, k: int, cfg: ExperimentConfig, ranks: list[int]) -> list[
     add("hash", f"hash[d_h={s.d_h};h={s.n_hashes}]",
         comm_cost("hash", n, k, d_h=s.d_h, n_hashes=s.n_hashes),
         representation_capacity("hash", n, d_h=s.d_h, n_hashes=s.n_hashes),
-        d_h=s.d_h, n_hashes=s.n_hashes)
+        d_h=s.d_h, n_hashes=s.n_hashes, p=s.p)
     add("hash", f"hash_senet[d_h={s.d_h};h={s.n_hashes}]",
         comm_cost("hash", n, k, d_h=s.d_h, n_hashes=s.n_hashes, senet=True,
                   expansion=s.expansion),
         representation_capacity("hash", n, d_h=s.d_h, n_hashes=s.n_hashes),
-        d_h=s.d_h, n_hashes=s.n_hashes, senet=True, expansion=s.expansion)
+        d_h=s.d_h, n_hashes=s.n_hashes, p=s.p, senet=True, expansion=s.expansion)
     return rows
 
 
@@ -162,10 +162,10 @@ def cmd_comm(args: argparse.Namespace) -> int:
     ranks = [int(x) for x in args.ranks.split(",")] if args.ranks else [cfg.strategy.rank]
     rows = _comm_rows(args.items, cfg.k, cfg, ranks)
     lines = [f"# config={cfg.config_hash()} n={args.items} k={cfg.k}",
-             "strategy,upload_bytes,upload_kb,representation"]
+             "strategy,upload_bytes,upload_kb,representation,distinct_hash_tuples"]
     for row in rows:
         lines.append(f"{row['strategy']},{row['upload_bytes']},"
-                     f"{row['upload_kb']:.3f},{row['representation']}")
+                     f"{row['upload_kb']:.3f},{row['representation']},{row['distinct']}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.csv_out:

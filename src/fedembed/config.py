@@ -62,7 +62,7 @@ class FederationConfig:
     lr: float = 0.01
     batch_size: int = 256
     neg_per_pos: int = 4
-    workers: int = 1
+    workers: int = 1                   # accepted; clients always train serially
     aggregation: str = "mean"          # mean | weighted | delta
     checkpoint_every: int = 0
 
@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError(f"dp.mode: unknown value {self.dp.mode!r}")
         if self.dp.delta < 0:
             raise ConfigError("dp.delta: must be >= 0")
+        if self.dp.clip is not None and not self.dp.clip > 0:
+            raise ConfigError(f"dp.clip: must be > 0, got {self.dp.clip}")
         if self.strategy.p < self.strategy.d_h:
             raise ConfigError("strategy.p: must be >= strategy.d_h")
         if self.unsafe:
@@ -170,29 +172,34 @@ def _iter_items(cfg: ExperimentConfig):
             yield f"{prefix}.{f.name}", obj, f.name
 
 
-def _coerce(current, raw: str):
-    if isinstance(current, bool):
+def _coerce(default, raw: str):
+    """Parse `raw` to the type of the field's declared default. A None
+    default marks an optional float, unset when `raw` is empty."""
+    if default is None:
+        return None if raw == "" else float(raw)
+    if isinstance(default, bool):
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"expected boolean, got {raw!r}")
-    if isinstance(current, int):
+    if isinstance(default, int):
         return int(raw)
-    if isinstance(current, float):
+    if isinstance(default, float):
         return float(raw)
-    if isinstance(current, tuple):
+    if isinstance(default, tuple):
         return tuple(int(x) for x in raw.split(",") if x.strip())
-    if current is None or isinstance(current, str):
+    if isinstance(default, str):
         return raw
-    raise ValueError(f"unsupported config value type {type(current)}")
+    raise ValueError(f"unsupported config value type {type(default)}")
 
 
 def apply_setting(cfg: ExperimentConfig, key: str, raw: str) -> None:
     for full_key, obj, attr in _iter_items(cfg):
         if full_key == key:
+            default = next(f.default for f in fields(obj) if f.name == attr)
             try:
-                setattr(obj, attr, _coerce(getattr(obj, attr), raw.strip()))
+                setattr(obj, attr, _coerce(default, raw.strip()))
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from exc
             return

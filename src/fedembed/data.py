@@ -169,9 +169,25 @@ def leave_one_out_split(log: InteractionLog) -> EvalSplit:
     )
 
 
+def choice_excluding(n: int, excluded: np.ndarray, size: int, rng: np.random.Generator,
+                     replace: bool) -> np.ndarray:
+    """Uniform draw from [0, n) minus the sorted, unique ids `excluded`,
+    without building the candidate pool.
+
+    Draws index r among the remaining ids and shifts it past every excluded
+    id e with e - rank(e) <= r. `Generator.choice` over an array draws the
+    same indices as over its length and then takes, so the result equals
+    ``rng.choice(np.setdiff1d(np.arange(n), excluded), size, replace=replace)``
+    bit for bit.
+    """
+    idx = rng.choice(n - len(excluded), size=size, replace=replace)
+    return idx + np.searchsorted(excluded - np.arange(len(excluded)), idx, side="right")
+
+
 def sample_negatives(positives: np.ndarray, n_items: int, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement from the non-interacted items."""
+    """Uniform sample without replacement from the non-interacted items
+    (`positives` sorted and unique)."""
     if count < 0:
         raise ValueError("count must be >= 0")
     pool_size = n_items - len(positives)
@@ -179,8 +195,7 @@ def sample_negatives(positives: np.ndarray, n_items: int, count: int,
         raise ValueError(f"cannot draw {count} negatives from {pool_size} candidates")
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    pool = np.setdiff1d(np.arange(n_items, dtype=np.int64), positives, assume_unique=False)
-    return rng.choice(pool, size=count, replace=False)
+    return choice_excluding(n_items, positives, count, rng, replace=False)
 
 
 def attach_eval_negatives(split: EvalSplit, count: int, streams: RngStream) -> None:

@@ -2,9 +2,9 @@
 snapshots, unweighted FedAvg aggregation, the warm-up -> freeze schedule,
 and exact per-round communication accounting.
 
-Clients are simulated in-process. Every random draw is keyed by
-(seed, purpose, client, round), so results are bit-identical no matter how
-many workers execute the per-client work.
+Clients are simulated in-process, one after another. Every random draw is
+keyed by (seed, purpose, client, round), so results do not depend on the
+order in which clients are trained.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,8 @@ from . import metrics
 from .backbones import Backbone, UserState, local_step, make_backbone, make_user_state
 from .config import ExperimentConfig
 from .data import (EvalSplit, InteractionLog, attach_eval_negatives, build_item_features,
-                   leave_one_out_split, load_interactions, synthesize_interactions)
+                   choice_excluding, leave_one_out_split, load_interactions,
+                   synthesize_interactions)
 from .numerics import init_uniform
 from .pretrain import PretrainConfig, train_autoencoder, train_rqvae
 from .privacy import apply_cdp, apply_ldp
@@ -120,10 +120,28 @@ def _install_backbone(backbone: Backbone, tensors: list[np.ndarray]) -> None:
     backbone.mlp.biases = [t.astype(np.float32, copy=False) for t in tensors[n_layers:]]
 
 
-class Simulation:
-    """One experiment: data, pre-training, model state, and the round loop."""
+@dataclass
+class SavedState:
+    """A run's model state as `load_sim_state` reads it back."""
 
-    def __init__(self, config: ExperimentConfig, log: InteractionLog | None = None):
+    base: FullEmbeddingTable
+    adapter: Adapter                # with its semantic codes or hash parameters
+    round: int
+    backbone: list[np.ndarray]      # shared MLP weights then biases; none for fedmf/pfedrec
+    users: list[np.ndarray]         # stacked over users: the embeddings (fedmf, fedncf)
+                                    # or the personal MLP weights then biases (pfedrec)
+
+
+class Simulation:
+    """One experiment: data, pre-training, model state, and the round loop.
+
+    With `saved` (from `load_sim_state`), the model state is restored instead
+    of being pre-trained and initialized; the interaction log, split and
+    evaluation candidates are rebuilt from the config as usual.
+    """
+
+    def __init__(self, config: ExperimentConfig, log: InteractionLog | None = None,
+                 saved: SavedState | None = None):
         config.validate()
         self.config = config
         self.streams = RngStream(config.seed)
@@ -134,6 +152,15 @@ class Simulation:
         self.log = log if log is not None else self._load_log()
         self.split: EvalSplit = leave_one_out_split(self.log)
         attach_eval_negatives(self.split, config.eval.negatives, self.streams.child("eval"))
+
+        kind = config.strategy.kind
+        self.warmup_rounds = (config.federation.rounds if kind == "full"
+                              else min(config.federation.warmup_rounds,
+                                       config.federation.rounds))
+        self.backbone = make_backbone(config.backbone, config.k, self.streams)
+        if saved is not None:
+            self._restore(saved)
+            return
 
         n, k = self.log.n_items, config.k
         self.codes = None
@@ -160,15 +187,33 @@ class Simulation:
 
         self.base = FullEmbeddingTable(table)
         self.adapter: Adapter = FullAdapter(self.base.table)
-        self.backbone = make_backbone(config.backbone, k, self.streams)
         self.user_states = {u: make_user_state(config.backbone, k, u, self.streams,
                                                scale=config.user_scale)
                             for u in range(self.log.n_users)}
 
-        kind = config.strategy.kind
-        self.warmup_rounds = (config.federation.rounds if kind == "full"
-                              else min(config.federation.warmup_rounds,
-                                       config.federation.rounds))
+    def _restore(self, saved: SavedState) -> None:
+        cfg = self.config
+        if saved.base.n_items != self.log.n_items:
+            raise ValueError(f"saved item table has {saved.base.n_items} items, "
+                             f"the interaction log {self.log.n_items}")
+        self.base, self.adapter, self.round = saved.base, saved.adapter, saved.round
+        self.codes = getattr(saved.adapter, "codes", None)
+        _install_backbone(self.backbone, saved.backbone)
+        if cfg.backbone in ("fedmf", "fedncf"):
+            (emb,) = saved.users
+            states = [UserState(embedding=row) for row in emb]
+        else:
+            # the personal MLP architecture, as a fresh client would build it
+            mlp = make_user_state(cfg.backbone, cfg.k, 0, self.streams,
+                                  scale=cfg.user_scale).mlp
+            n_layers = len(mlp.weights)
+            states = [UserState(mlp=replace(mlp, weights=[w[u] for w in saved.users[:n_layers]],
+                                            biases=[b[u] for b in saved.users[n_layers:]]))
+                      for u in range(len(saved.users[0]))]
+        if len(states) != self.log.n_users:
+            raise ValueError(f"saved state has {len(states)} users, "
+                             f"the interaction log {self.log.n_users}")
+        self.user_states = dict(enumerate(states))
 
     def _load_log(self) -> InteractionLog:
         d = self.config.data
@@ -223,13 +268,12 @@ class Simulation:
             return ClientUpdate(u, tensors, wg, state, nbytes,
                                 float("nan"), trained=False)
 
-        n_items = self.log.n_items
-        pool = np.setdiff1d(np.arange(n_items, dtype=np.int64), positives)
         dropout_rng = self.streams.generator("dropout", u, round_idx)
         losses = []
         for epoch in range(cfg.local_epochs):
             neg_rng = self.streams.generator("train_neg", u, round_idx, epoch)
-            negs = neg_rng.choice(pool, size=cfg.neg_per_pos * len(positives), replace=True)
+            negs = choice_excluding(self.log.n_items, positives,
+                                    cfg.neg_per_pos * len(positives), neg_rng, replace=True)
             items = np.concatenate([positives, negs])
             labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
                                      np.zeros(len(negs), dtype=np.float32)])
@@ -261,13 +305,7 @@ class Simulation:
         t0 = time.perf_counter()
 
         clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams, round_idx)
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                updates = list(pool.map(lambda u: self._client_round(int(u), round_idx),
-                                        clients))
-        else:
-            updates = [self._client_round(int(u), round_idx) for u in clients]
-        updates.sort(key=lambda up: up.client)
+        updates = [self._client_round(int(u), round_idx) for u in clients]
 
         weights = None
         if cfg.aggregation == "weighted":
@@ -376,32 +414,25 @@ def save_sim_state(sim: Simulation, out_dir: str | Path) -> None:
     np.savez(out / "sim_state.npz", **arrays)
 
 
-def load_sim_state(sim: Simulation, run_dir: str | Path) -> None:
-    """Restore a saved simulation into a freshly constructed one."""
+def load_sim_state(run_dir: str | Path) -> SavedState:
+    """Read back what `save_sim_state` wrote; `Simulation(config, saved=...)`
+    rebuilds the simulation from it."""
     run_dir = Path(run_dir)
     from .strategies import load_checkpoint
     base, adapter = load_checkpoint(run_dir / "embedding.fpeb")
-    sim.base = base
-    sim.adapter = adapter
     if not isinstance(adapter, FullAdapter):
-        sim.base.freeze()
+        base.freeze()
     with np.load(run_dir / "sim_state.npz") as data:
-        sim.round = int(data["round"][0])
-        if sim.backbone.mlp is not None:
-            n_layers = len(sim.backbone.mlp.weights)
-            sim.backbone.mlp.weights = [data[f"wg_w{l}"] for l in range(n_layers)]
-            sim.backbone.mlp.biases = [data[f"wg_b{l}"] for l in range(n_layers)]
-        if sim.config.backbone in ("fedmf", "fedncf"):
-            emb = data["user_emb"]
-            for u in range(emb.shape[0]):
-                sim.user_states[u].embedding = emb[u]
-        else:
-            n_layers = len(sim.user_states[0].mlp.weights)
-            stacked_w = [data[f"user_w{l}"] for l in range(n_layers)]
-            stacked_b = [data[f"user_b{l}"] for l in range(n_layers)]
-            for u in range(stacked_w[0].shape[0]):
-                sim.user_states[u].mlp.weights = [sw[u] for sw in stacked_w]
-                sim.user_states[u].mlp.biases = [sb[u] for sb in stacked_b]
+        arrays = dict(data)
+
+    def layers(prefix: str) -> list[np.ndarray]:
+        return [arrays[f"{prefix}{l}"]
+                for l in range(sum(name.startswith(prefix) for name in arrays))]
+
+    users = [arrays["user_emb"]] if "user_emb" in arrays \
+        else layers("user_w") + layers("user_b")
+    return SavedState(base, adapter, int(arrays["round"][0]),
+                      layers("wg_w") + layers("wg_b"), users)
 
 
 def rounds_csv(reports: list[RoundReport], metric_history: list[tuple[int, dict]],

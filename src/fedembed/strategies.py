@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -189,6 +190,11 @@ class HashAdapter:
         return ((self.hash_a[None, :] * items[:, None] + self.hash_b[None, :])
                 % self.p) % self.d_h
 
+    def distinct_index_tuples(self, n_items: int) -> int:
+        """How many distinct (idx_1, ..., idx_h) the hash functions actually
+        give items 0..n_items-1, to set against `representation_capacity`."""
+        return len(np.unique(self.indices(np.arange(n_items, dtype=np.int64)), axis=0))
+
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
         items = _as_items(items)
         _check_range(items, base.shape[0])
@@ -351,6 +357,11 @@ def make_adapter(kind: str, n_items: int, k: int, streams: RngStream, *,
         b = np.zeros((k, rank), dtype=dtype)
         return LoraAdapter(a, b)
     if kind == "hash":
+        if math.gcd(p, d_h) > 1:
+            warnings.warn(f"hash modulus p={p} shares the factor {math.gcd(p, d_h)} with "
+                          f"d_h={d_h}, so the hash functions give fewer distinct index "
+                          f"tuples than representation_capacity claims; a prime p avoids "
+                          f"this", stacklevel=2)
         ha, hb = draw_hash_params(streams.generator("init_hash_fns"), n_hashes, p)
         table = maybe_zero((d_h, k), streams.generator("init_hash_table"))
         w1 = w2 = None

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fedembed import federation
 from fedembed.cli import main
 from fedembed.config import ConfigError, ExperimentConfig, apply_setting, load_config
 
@@ -78,6 +79,15 @@ class TestConfig:
         apply_setting(cfg, "pretrain.hidden", "64,32")
         assert cfg.pretrain.hidden == (64, 32)
 
+    def test_dp_clip_parses_as_optional_float(self, tmp_path):
+        cfg = load_config(None, overrides=["dp.clip=1.5"])
+        assert cfg.dp.clip == 1.5 and isinstance(cfg.dp.clip, float)
+        p = tmp_path / "dump.cfg"
+        p.write_text(cfg.to_text(), encoding="utf-8")
+        assert load_config(p).dp.clip == 1.5
+        p.write_text(ExperimentConfig().to_text(), encoding="utf-8")
+        assert load_config(p).dp.clip is None      # unset is written as empty
+
     def test_prime_collision_parameter_alternative(self):
         cfg = load_config(None, overrides=["strategy.p=4093"])
         assert cfg.strategy.p == 4093
@@ -121,6 +131,18 @@ class TestCliTrain:
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
         assert (a / "rounds.csv").read_bytes() == (b / "rounds.csv").read_bytes()
 
+    def test_ldp_with_clip_runs(self, tmp_path, capsys):
+        self._train(tmp_path, "--set", "dp.mode=ldp", "--set", "dp.delta=0.01",
+                    "--set", "dp.clip=1.0")
+
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    def test_bad_dp_clip_is_a_config_error(self, tmp_path, capsys, value):
+        args = ["train", "--out-dir", str(tmp_path)]
+        for s in BASE_SETTINGS + ["dp.mode=ldp", "dp.delta=0.01", f"dp.clip={value}"]:
+            args += ["--set", s]
+        assert run_cli(*args) == 1
+        assert "dp.clip" in capsys.readouterr().err
+
     def test_artifacts_embed_config_hash_and_seed(self, tmp_path, capsys):
         out = self._train(tmp_path, "--seed", "5")
         first = (out / "rounds.csv").read_text().splitlines()[0]
@@ -141,6 +163,39 @@ class TestCliEval:
         for name, value in final.items():
             assert got[name] == pytest.approx(value)
 
+    @pytest.mark.parametrize("settings", [
+        ["backbone=fedmf", "strategy.kind=rqvae", "strategy.levels=2", "strategy.d_r=32",
+         "pretrain.enabled=true", "pretrain.steps=20", "pretrain.rq_steps=5",
+         "pretrain.hidden=16", "data.feature_dim=8"],
+        ["backbone=fedncf", "strategy.kind=hash", "strategy.senet=true",
+         "strategy.d_h=16", "strategy.p=4093"],
+        ["backbone=pfedrec", "strategy.kind=lora"],
+        ["strategy.kind=full"],
+        ["backbone=fedncf", "strategy.kind=lora", "federation.rounds=1"],
+    ], ids=["fedmf-rqvae", "fedncf-hash-senet", "pfedrec-lora", "full",
+            "rounds-eq-warmup"])
+    def test_eval_restores_without_pretraining(self, tmp_path, capsys, monkeypatch,
+                                               settings):
+        out = tmp_path / "run"
+        args = ["train", "--out-dir", str(out)]
+        for s in BASE_SETTINGS + settings:
+            args += ["--set", s]
+        assert run_cli(*args) == 0
+        final = json.loads((out / "metrics.json").read_text())["final"]
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eval must not pre-train or initialize the table")
+
+        for name in ("train_autoencoder", "train_rqvae", "build_item_features",
+                     "init_uniform"):
+            monkeypatch.setattr(federation, name, refuse)
+        assert run_cli("eval", str(out)) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "metric,value"
+        assert dict(row.split(",") for row in rows) == {k: f"{v:.2f}" for k, v in final.items()}
+        assert run_cli("eval", str(out), "--set", "eval.negatives=-1") == 0
+
 
 class TestCliComm:
     def test_full_row_dominates_peft_rows(self, tmp_path, capsys):
@@ -150,6 +205,15 @@ class TestCliComm:
         rows = {ln.split(",")[0]: float(ln.split(",")[1]) for ln in lines}
         full = rows.pop("full")
         assert all(full > v for v in rows.values())
+
+    @pytest.mark.parametrize("p", [4096, 4093])
+    def test_hash_rows_report_measured_distinct_tuples(self, capsys, p):
+        assert run_cli("comm", "--items", "3706", "--set", f"strategy.p={p}") == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[2:]]
+        hashed = [int(r[-1]) for r in rows if r[0].startswith("hash")]
+        assert len(hashed) == 2
+        assert all((n <= 512) == (p == 4096) for n in hashed)
+        assert all(r[-1] == "" for r in rows if not r[0].startswith("hash"))
 
     def test_errors_use_exit_codes(self, tmp_path, capsys):
         assert run_cli("comm", "--set", "strategy.d_h=7") == 1

@@ -2,10 +2,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedembed.data import (FormatError, attach_eval_negatives, build_item_features,
-                           leave_one_out_split, load_interactions, sample_negatives,
-                           save_id_maps, synthesize_interactions)
+                           choice_excluding, leave_one_out_split, load_interactions,
+                           sample_negatives, save_id_maps, synthesize_interactions)
 from fedembed.rng import RngStream
 
 ML1M_RATINGS = os.environ.get("ML1M_RATINGS", "data/ml-1m/ratings.dat")
@@ -115,18 +117,65 @@ class TestSplit:
             assert np.array_equal(s1.negatives[u], s2.negatives[u])
 
 
+@st.composite
+def exclusion_draws(draw):
+    """(n, sorted unique excluded ids, size, seed, replace) with a legal size."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    excluded = np.array(sorted(draw(st.sets(st.integers(0, n - 1), max_size=n))),
+                        dtype=np.int64)
+    replace = draw(st.booleans())
+    remaining = n - len(excluded)
+    high = remaining if not replace else (0 if remaining == 0 else 3 * n)
+    size = draw(st.integers(min_value=0, max_value=high))
+    return n, excluded, size, draw(st.integers(0, 2**32 - 1)), replace
+
+
+class TestChoiceExcluding:
+    @settings(max_examples=300, deadline=None)
+    @given(exclusion_draws())
+    @example((40, np.empty(0, dtype=np.int64), 40, 3, False))      # nothing excluded
+    @example((40, np.arange(1, 40), 1, 5, False))                  # |P| = n - 1
+    @example((40, np.arange(1, 40), 7, 5, True))
+    @example((9, np.array([0, 4, 8]), 6, 11, False))               # size = n - |P|
+    @example((9, np.array([0, 4, 8]), 0, 11, False))               # size 0
+    @example((9, np.array([0, 4, 8]), 0, 11, True))
+    @example((20000, np.arange(0, 20000, 3), 99, 2, False))        # Floyd's branch
+    def test_equals_draw_from_the_candidate_pool(self, case):
+        n, excluded, size, seed, replace = case
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pool = np.setdiff1d(np.arange(n, dtype=np.int64), excluded)
+        want = ref_rng.choice(pool, size=size, replace=replace)
+        got = choice_excluding(n, excluded, size, rng, replace=replace)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # the same number of draws was consumed
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestNegativeSampling:
     def test_forced_single_candidate(self):
         got = sample_negatives(np.array([0, 1]), 3, 1, np.random.default_rng(0))
         assert got.tolist() == [2]
 
     def test_count_zero(self):
-        got = sample_negatives(np.array([0]), 3, 0, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        got = sample_negatives(np.array([0]), 3, 0, rng)
         assert got.size == 0
+        assert rng.bit_generator.state == before      # no draw consumed
 
     def test_over_draw_rejected(self):
         with pytest.raises(ValueError, match="cannot draw"):
             sample_negatives(np.array([0, 1]), 3, 2, np.random.default_rng(0))
+
+    def test_full_ranking_candidates_are_every_non_interacted_item(self):
+        log = synthesize_interactions(40, 25, seed=2)
+        split = leave_one_out_split(log)
+        attach_eval_negatives(split, -1, RngStream(4))
+        assert sorted(split.negatives) == sorted(int(u) for u in split.test_users)
+        for u, negs in split.negatives.items():
+            want = sorted(set(range(25)) - set(split.all_positives[u].tolist()))
+            assert negs.tolist() == want
 
     def test_uniform_frequencies(self):
         # 8e5 sampled items keep the max per-item deviation well under 5%

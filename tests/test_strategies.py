@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,19 @@ class TestRepresentationCapacity:
             count = sum(1 for _ in combinations_with_replacement(range(d_h), h))
             assert representation_capacity("hash", 99, d_h=d_h, n_hashes=h) == count
         assert representation_capacity("hash", 99, d_h=4, n_hashes=2) == 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_measured_hash_tuples_depend_on_the_modulus(self, seed):
+        # 512 divides 4096, so each hash reads only id mod 512
+        with pytest.warns(UserWarning, match="p=4096"):
+            composite = make_adapter("hash", 3706, 4, RngStream(seed), d_h=512,
+                                     n_hashes=2, p=4096)
+        assert composite.distinct_index_tuples(3706) <= 512
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prime = make_adapter("hash", 3706, 4, RngStream(seed), d_h=512,
+                                 n_hashes=2, p=4093)
+        assert prime.distinct_index_tuples(3706) > 512
 
     def test_lora_and_full_equal_item_count(self):
         assert representation_capacity("lora", 3706) == 3706
