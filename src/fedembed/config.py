@@ -63,7 +63,7 @@ class FederationConfig:
     batch_size: int = 256
     neg_per_pos: int = 4
     workers: int = 1                   # accepted; clients always train serially
-    aggregation: str = "mean"          # mean | weighted | delta
+    aggregation: str = "mean"          # mean | weighted
     checkpoint_every: int = 0
 
 
@@ -109,7 +109,10 @@ class ExperimentConfig:
             raise ConfigError(f"strategy.init: unknown value {self.strategy.init!r}")
         if not 0 < self.federation.sample_ratio <= 1:
             raise ConfigError("federation.sample_ratio: must be in (0, 1]")
-        if self.federation.aggregation not in ("mean", "weighted", "delta"):
+        if self.federation.aggregation == "delta":
+            raise ConfigError("federation.aggregation: 'delta' is no longer supported; "
+                              "it averaged the same values as 'mean', so use mean")
+        if self.federation.aggregation not in ("mean", "weighted"):
             raise ConfigError(f"federation.aggregation: unknown value "
                               f"{self.federation.aggregation!r}")
         if self.federation.rounds < 0 or self.federation.warmup_rounds < 0:

@@ -1,10 +1,17 @@
 """Round orchestration: client sampling, local training over immutable
-snapshots, unweighted FedAvg aggregation, the warm-up -> freeze schedule,
-and exact per-round communication accounting.
+snapshots, FedAvg aggregation, the warm-up -> freeze schedule, and exact
+per-round communication accounting.
 
 Clients are simulated in-process, one after another. Every random draw is
 keyed by (seed, purpose, client, round), so results do not depend on the
 order in which clients are trained.
+
+A client trains only the item rows it touches: the positives and negatives
+of all its local epochs, drawn when it starts. Item-indexed tensors go up as
+`RowUpload`s of those rows; every other tensor goes up whole. The server
+folds the uploads into one float64 running sum per tensor, so it never
+holds one dense table per client unless local DP densified them. Each client
+is still charged the paper's dense payload.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +33,7 @@ from .data import (EvalSplit, InteractionLog, attach_eval_negatives, build_item_
                    synthesize_interactions)
 from .numerics import init_uniform
 from .pretrain import PretrainConfig, train_autoencoder, train_rqvae
-from .privacy import apply_cdp, apply_ldp
+from .privacy import apply_cdp, apply_ldp, clip_update
 from .rng import RngStream
 from .strategies import (Adapter, FullAdapter, FullEmbeddingTable, make_adapter,
                          save_checkpoint, serialize_upload)
@@ -53,13 +61,31 @@ class ExperimentResult:
     seed: int
 
 
+class RowUpload(NamedTuple):
+    """An item-indexed tensor as a client uploads it: `values[i]` is row
+    `rows[i]`; every other row is the round's snapshot."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+Upload = np.ndarray | RowUpload
+
+
+def densify(t: Upload, snapshot: np.ndarray) -> np.ndarray:
+    """The whole tensor an upload stands for."""
+    if not isinstance(t, RowUpload):
+        return t
+    out = snapshot.copy()
+    out[t.rows] = t.values
+    return out
+
+
 @dataclass
 class ClientUpdate:
     client: int
-    adapter_tensors: list[np.ndarray]
-    wg_tensors: list[np.ndarray]
+    tensors: list[Upload]           # the adapter's trainable tensors, then the shared MLP's
     state: UserState
-    upload_bytes: int
     loss: float
     trained: bool
 
@@ -74,19 +100,21 @@ def select_clients(n_users: int, ratio: float, streams: RngStream,
     return np.sort(rng.choice(n_users, size=count, replace=False))
 
 
-def aggregate(tensor_lists: list[list[np.ndarray]],
-              weights: np.ndarray | None = None,
-              reference: list[np.ndarray] | None = None) -> list[np.ndarray]:
-    """Positionwise mean of client tensors.
+def aggregate(uploads: list[list[Upload]], weights: np.ndarray | None = None,
+              snapshot: list[np.ndarray] | None = None) -> list[np.ndarray]:
+    """Positionwise weighted mean of client uploads (FedAvg).
 
-    weights: optional per-client weights (normalized here). reference:
-    aggregate deltas from this snapshot instead of raw parameters
-    (algebraically identical for uniform weights, kept for the
-    gradient-aggregation mode).
+    weights: optional per-client weights (normalized here). snapshot: the
+    tensors the round started from, needed for `RowUpload` entries.
+
+    Each position is folded client by client into a float64 sum starting at
+    +0.0, which is bit for bit what summing the stacked float64 products
+    over the client axis gives. Size-1 tensors are the exception: numpy
+    reduces a stacked (C, 1) array pairwise, so those are summed that way.
     """
-    if not tensor_lists:
+    if not uploads:
         raise ValueError("no updates to aggregate")
-    n = len(tensor_lists)
+    n = len(uploads)
     if weights is None:
         w = np.full(n, 1.0 / n)
     else:
@@ -95,15 +123,39 @@ def aggregate(tensor_lists: list[list[np.ndarray]],
             raise ValueError("bad aggregation weights")
         w = weights / weights.sum()
     out = []
-    for pos in range(len(tensor_lists[0])):
-        stack = np.stack([tl[pos] for tl in tensor_lists])
-        wa = w.reshape((n,) + (1,) * (stack.ndim - 1))
-        if reference is not None:
-            delta = ((stack - reference[pos][None]) * wa).sum(axis=0)
-            out.append((reference[pos] + delta).astype(stack.dtype))
-        else:
-            out.append((stack * wa).sum(axis=0).astype(stack.dtype))
+    for pos in range(len(uploads[0])):
+        entries = [client[pos] for client in uploads]
+        snap = None if snapshot is None else snapshot[pos]
+        if snap is None and any(isinstance(e, RowUpload) for e in entries):
+            raise ValueError(f"row uploads at position {pos} need the round's snapshot")
+        first = entries[0].values if isinstance(entries[0], RowUpload) else entries[0]
+        shape = first.shape if snap is None else snap.shape
+        if math.prod(shape) == 1:
+            products = [wc * densify(e, snap) for wc, e in zip(w, entries)]
+            out.append(np.sum(np.stack(products), axis=0).astype(first.dtype))
+            continue
+        acc = np.zeros(shape)
+        scaled_w, scaled = None, None
+        for wc, e in zip(w, entries):
+            if isinstance(e, RowUpload):
+                # one scaled snapshot while the weight repeats (always, for
+                # uniform weights), not one per distinct weight
+                if wc != scaled_w:
+                    scaled_w, scaled = wc, wc * snap
+                saved = acc[e.rows]
+                acc += scaled
+                acc[e.rows] = saved + wc * e.values
+            else:
+                acc += wc * e
+        out.append(acc.astype(first.dtype))
     return out
+
+
+def _clip(t: Upload, snapshot: np.ndarray, clip: float) -> Upload:
+    """`clip_update` of one upload; a row upload's update is zero off its rows."""
+    if isinstance(t, RowUpload):
+        return RowUpload(t.rows, clip_update(t.values, snapshot[t.rows], clip))
+    return clip_update(t, snapshot, clip)
 
 
 def _backbone_tensors(backbone: Backbone) -> list[np.ndarray]:
@@ -256,20 +308,19 @@ class Simulation:
 
     def _client_round(self, u: int, round_idx: int) -> ClientUpdate:
         cfg = self.config.federation
-        adapter = self.adapter.copy()
-        backbone = self.backbone.copy()
+        dp = self.config.dp
         state = self.user_states[u].copy()
         positives = self.split.train_positives[u]
+        snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
+        item_indexed = self.adapter.item_indexed
 
         if len(positives) == 0 or cfg.local_epochs == 0:
-            tensors = [t.copy() for t in adapter.trainable()]
-            wg = [t.copy() for t in _backbone_tensors(backbone)]
-            nbytes = len(serialize_upload(adapter)) + backbone.upload_bytes()
-            return ClientUpdate(u, tensors, wg, state, nbytes,
-                                float("nan"), trained=False)
+            none = np.empty(0, dtype=np.int64)
+            tensors = [RowUpload(none, t[none]) if i in item_indexed else t
+                       for i, t in enumerate(snapshot)]
+            return ClientUpdate(u, tensors, state, float("nan"), trained=False)
 
-        dropout_rng = self.streams.generator("dropout", u, round_idx)
-        losses = []
+        epochs = []
         for epoch in range(cfg.local_epochs):
             neg_rng = self.streams.generator("train_neg", u, round_idx, epoch)
             negs = choice_excluding(self.log.n_items, positives,
@@ -278,25 +329,33 @@ class Simulation:
             labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
                                      np.zeros(len(negs), dtype=np.float32)])
             perm = self.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
-            items, labels = items[perm], labels[perm]
+            epochs.append((items[perm], labels[perm]))
+        # the client holds only these rows and trains on local ids into them
+        rows = np.unique(np.concatenate([items for items, _ in epochs]))
+        adapter = self.adapter.copy(rows)
+        base = self.base.table[rows]
+        backbone = self.backbone.copy()
+        dropout_rng = self.streams.generator("dropout", u, round_idx)
+        losses = []
+        for items, labels in epochs:
+            local = np.searchsorted(rows, items)
             for start in range(0, len(items), cfg.batch_size):
                 sl = slice(start, start + cfg.batch_size)
-                losses.append(local_step(backbone, state, adapter, self.base.table,
-                                         items[sl], labels[sl], cfg.lr, dropout_rng))
+                losses.append(local_step(backbone, state, adapter, base,
+                                         local[sl], labels[sl], cfg.lr, dropout_rng))
 
-        tensors = adapter.trainable()
-        wg = _backbone_tensors(backbone)
-        for t in tensors + wg:
-            if not np.all(np.isfinite(t)):
+        tensors = [RowUpload(rows, t) if i in item_indexed else t
+                   for i, t in enumerate(adapter.trainable() + _backbone_tensors(backbone))]
+        for t in tensors:
+            if not np.all(np.isfinite(t.values if isinstance(t, RowUpload) else t)):
                 raise FloatingPointError(
                     f"non-finite client update at round {round_idx} (client {u})")
-        nbytes = len(serialize_upload(adapter)) + backbone.upload_bytes()
-        if self.config.dp.mode == "ldp":
-            noised = apply_ldp(tensors + wg, self.config.dp,
-                               self.streams.generator("dp", u, round_idx))
-            tensors, wg = noised[:len(tensors)], noised[len(tensors):]
-        return ClientUpdate(u, tensors, wg, state, nbytes,
-                            float(np.mean(losses)), trained=True)
+        if dp.clip is not None:
+            tensors = [_clip(t, snap, dp.clip) for t, snap in zip(tensors, snapshot)]
+        if dp.mode == "ldp":
+            tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
+                                dp, self.streams.generator("dp", u, round_idx))
+        return ClientUpdate(u, tensors, state, float(np.mean(losses)), trained=True)
 
     def run_round(self) -> RoundReport:
         cfg = self.config.federation
@@ -305,19 +364,18 @@ class Simulation:
         t0 = time.perf_counter()
 
         clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams, round_idx)
+        # every client is charged the paper's dense payload, whatever rows it trained
+        upload_bytes = len(serialize_upload(self.adapter)) + self.backbone.upload_bytes()
         updates = [self._client_round(int(u), round_idx) for u in clients]
 
         weights = None
         if cfg.aggregation == "weighted":
             weights = np.array([max(len(self.split.train_positives[up.client]), 1)
                                 for up in updates], dtype=np.float64)
-        reference = None
-        if cfg.aggregation == "delta":
-            reference = list(self.adapter.trainable()) + _backbone_tensors(self.backbone)
-
-        n_adapter = len(updates[0].adapter_tensors)
-        combined = [up.adapter_tensors + up.wg_tensors for up in updates]
-        agg = aggregate(combined, weights=weights, reference=reference)
+        snapshot = self.adapter.trainable()
+        n_adapter = len(snapshot)
+        agg = aggregate([up.tensors for up in updates], weights=weights,
+                        snapshot=snapshot + _backbone_tensors(self.backbone))
         if self.config.dp.mode == "cdp":
             agg = apply_cdp(agg, self.config.dp, self.streams.generator("dp_server", round_idx))
 
@@ -337,8 +395,8 @@ class Simulation:
             round=round_idx,
             phase="warmup" if round_idx < self.warmup_rounds else "peft",
             clients=[up.client for up in updates],
-            bytes_per_client=updates[0].upload_bytes,
-            aggregate_bytes=sum(up.upload_bytes for up in updates),
+            bytes_per_client=upload_bytes,
+            aggregate_bytes=upload_bytes * len(updates),
             train_loss=float(np.mean(trained_losses)) if trained_losses else float("nan"),
             wall_time=time.perf_counter() - t0,
             base_hash=hashlib.sha256(self.base.table.tobytes()).hexdigest(),

@@ -8,6 +8,11 @@ embedding gradient into parameter gradients aligned with ``trainable()``,
 and ``serialize_upload`` produces the exact little-endian float32 byte
 payload a client would transmit. ``comm_cost`` predicts that payload size
 without building anything.
+
+``item_indexed`` names the positions in ``trainable()`` of tensors with one
+row per item. ``copy(rows)`` gives a client copy that holds only those rows
+of them: it takes local item ids ``0..len(rows)-1`` against the base rows
+``base[rows]``, and every other tensor stays whole.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,6 +68,7 @@ class FullAdapter:
 
     table: np.ndarray
     kind: str = "full"
+    item_indexed: ClassVar[tuple[int, ...]] = (0,)
 
     @property
     def n_items(self) -> int:
@@ -83,8 +90,8 @@ class FullAdapter:
     def set_trainable(self, tensors: list[np.ndarray]) -> None:
         (self.table,) = _match(self.trainable(), tensors)
 
-    def copy(self) -> "FullAdapter":
-        return FullAdapter(self.table.copy())
+    def copy(self, rows: np.ndarray | None = None) -> "FullAdapter":
+        return FullAdapter(self.table.copy() if rows is None else self.table[rows])
 
 
 @dataclass
@@ -98,6 +105,7 @@ class LoraAdapter:
     a: np.ndarray   # (n, rank)
     b: np.ndarray   # (k, rank)
     kind: str = "lora"
+    item_indexed: ClassVar[tuple[int, ...]] = (0,)
 
     @property
     def rank(self) -> int:
@@ -126,8 +134,8 @@ class LoraAdapter:
     def set_trainable(self, tensors: list[np.ndarray]) -> None:
         self.a, self.b = _match(self.trainable(), tensors)
 
-    def copy(self) -> "LoraAdapter":
-        return LoraAdapter(self.a.copy(), self.b.copy())
+    def copy(self, rows: np.ndarray | None = None) -> "LoraAdapter":
+        return LoraAdapter(self.a.copy() if rows is None else self.a[rows], self.b.copy())
 
 
 def hash_index(item_ids, a: int, b: int, p: int, d_h: int) -> np.ndarray:
@@ -153,7 +161,9 @@ class HashAdapter:
 
     Variant "mean" averages the h hashed vectors; variant "senet" reweights
     them with dynamic weights from a small squeeze-excitation net (w1, w2).
-    Hash parameters are fixed at construction and never trained.
+    Hash parameters are fixed at construction and never trained. A client
+    copy restricted to `rows` keeps those global ids in `ids` and hashes
+    `ids[item]`, never the local id.
     """
 
     table: np.ndarray                  # (d_H, k)
@@ -163,12 +173,17 @@ class HashAdapter:
     w1: np.ndarray | None = None       # (h1, h)
     w2: np.ndarray | None = None       # (h, h1)
     kind: str = "hash"
+    ids: np.ndarray | None = None      # global id of each local item id
+    item_indexed: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
         if np.any(self.hash_a == 0):
             raise ValueError("hash parameter a must be nonzero")
         if np.any(self.hash_a == self.hash_b):
             raise ValueError("hash parameters must satisfy a != b")
+        params = np.concatenate([self.hash_a, self.hash_b])
+        if np.any((params < 0) | (params >= self.p)):
+            raise ValueError(f"hash parameters must lie in [0, p={self.p})")
         if self.p < self.table.shape[0]:
             raise ValueError("p must be >= table size d_H")
         if (self.w1 is None) != (self.w2 is None):
@@ -198,7 +213,7 @@ class HashAdapter:
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
         items = _as_items(items)
         _check_range(items, base.shape[0])
-        idx = self.indices(items)
+        idx = self.indices(items if self.ids is None else self.ids[items])
         v = self.table[idx]                      # (B, h, k)
         cache: dict = {"items": items, "idx": idx, "v": v}
         if not self.senet:
@@ -244,11 +259,12 @@ class HashAdapter:
         else:
             (self.table,) = _match(self.trainable(), tensors)
 
-    def copy(self) -> "HashAdapter":
+    def copy(self, rows: np.ndarray | None = None) -> "HashAdapter":
         return HashAdapter(self.table.copy(), self.hash_a.copy(), self.hash_b.copy(),
                            self.p,
                            None if self.w1 is None else self.w1.copy(),
-                           None if self.w2 is None else self.w2.copy())
+                           None if self.w2 is None else self.w2.copy(),
+                           ids=rows)
 
 
 @dataclass
@@ -258,6 +274,7 @@ class RqVaeAdapter:
     codebooks: np.ndarray    # (l, d_R, k)
     codes: np.ndarray        # (n, l) int, immutable during federation
     kind: str = "rqvae"
+    item_indexed: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
         levels, d_r, _ = self.codebooks.shape
@@ -301,8 +318,9 @@ class RqVaeAdapter:
     def set_trainable(self, tensors: list[np.ndarray]) -> None:
         (self.codebooks,) = _match(self.trainable(), tensors)
 
-    def copy(self) -> "RqVaeAdapter":
-        return RqVaeAdapter(self.codebooks.copy(), self.codes)
+    def copy(self, rows: np.ndarray | None = None) -> "RqVaeAdapter":
+        return RqVaeAdapter(self.codebooks.copy(),
+                            self.codes if rows is None else self.codes[rows])
 
 
 Adapter = FullAdapter | LoraAdapter | HashAdapter | RqVaeAdapter
@@ -473,55 +491,62 @@ def save_checkpoint(path: str | Path, base: FullEmbeddingTable, adapter: Adapter
 
 
 def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
+    """Read what `save_checkpoint` wrote. A truncated section, trailing
+    bytes, and hash parameters or codes out of range (checked by the
+    adapters) raise a `ValueError` that names the section."""
     buf = Path(path).read_bytes()
     if buf[:4] != _MAGIC:
         raise ValueError("not an embedding checkpoint (bad magic)")
-    version, tag = struct.unpack_from("<HB", buf, 4)
+    view, off = memoryview(buf), 4
+
+    def take(section: str, nbytes: int) -> memoryview:
+        nonlocal off
+        if off + nbytes > len(buf):
+            raise ValueError(f"checkpoint truncated in the {section}: {nbytes} bytes "
+                             f"needed at offset {off}, {len(buf) - off} left")
+        off += nbytes
+        return view[off - nbytes:off]
+
+    def ints(section: str, fmt: str) -> tuple[int, ...]:
+        return struct.unpack(fmt, take(section, struct.calcsize(fmt)))
+
+    def u4(section: str, *shape: int) -> np.ndarray:
+        return np.frombuffer(take(section, 4 * math.prod(shape)),
+                             dtype="<u4").reshape(shape).astype(np.int64)
+
+    def f4(section: str, *shape: int) -> np.ndarray:
+        return np.frombuffer(take(section, 4 * math.prod(shape)),
+                             dtype="<f4").reshape(shape).copy()
+
+    version, tag = ints("header", "<HB")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     name = _TAG_NAMES.get(tag)
     if name is None:
         raise ValueError(f"unknown strategy tag {tag}")
-    off = 7
-    n, k = struct.unpack_from("<II", buf, off)
-    off += 8
-
-    def take_f4(count: int, shape) -> np.ndarray:
-        nonlocal off
-        arr = np.frombuffer(buf, dtype="<f4", count=count, offset=off).reshape(shape).copy()
-        off += count * 4
-        return arr
+    n, k = ints("header", "<II")
+    if name == "lora":
+        (rank,) = ints("header", "<I")
+    elif name in ("hash", "hash_senet"):
+        d_h, h, p, h1 = ints("hash parameters", "<IIII")
+        ha, hb = u4("hash parameters", h), u4("hash parameters", h)
+    elif name == "rqvae":
+        levels, d_r = ints("codes", "<II")
+        codes = u4("codes", n, levels)
+    table = f4("base table", n, k)
 
     if name == "full":
-        base = FullEmbeddingTable(take_f4(n * k, (n, k)))
-        return base, FullAdapter(base.table)
-    if name == "lora":
-        (rank,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        table = take_f4(n * k, (n, k))
-        a = take_f4(n * rank, (n, rank))
-        b = take_f4(k * rank, (k, rank))
-        return FullEmbeddingTable(table), LoraAdapter(a, b)
-    if name in ("hash", "hash_senet"):
-        d_h, h, p, h1 = struct.unpack_from("<IIII", buf, off)
-        off += 16
-        ha = np.frombuffer(buf, dtype="<u4", count=h, offset=off).astype(np.int64)
-        off += h * 4
-        hb = np.frombuffer(buf, dtype="<u4", count=h, offset=off).astype(np.int64)
-        off += h * 4
-        table = take_f4(n * k, (n, k))
-        htable = take_f4(d_h * k, (d_h, k))
+        adapter: Adapter = FullAdapter(table)
+    elif name == "lora":
+        adapter = LoraAdapter(f4("adapter", n, rank), f4("adapter", k, rank))
+    elif name in ("hash", "hash_senet"):
+        htable = f4("adapter", d_h, k)
         w1 = w2 = None
         if name == "hash_senet":
-            w1 = take_f4(h1 * h, (h1, h))
-            w2 = take_f4(h * h1, (h, h1))
-        return FullEmbeddingTable(table), HashAdapter(htable, ha, hb, int(p), w1, w2)
-    # rqvae
-    levels, d_r = struct.unpack_from("<II", buf, off)
-    off += 8
-    codes = np.frombuffer(buf, dtype="<u4", count=n * levels, offset=off)
-    codes = codes.reshape(n, levels).astype(np.int64)
-    off += n * levels * 4
-    table = take_f4(n * k, (n, k))
-    books = take_f4(levels * d_r * k, (levels, d_r, k))
-    return FullEmbeddingTable(table), RqVaeAdapter(books, codes)
+            w1, w2 = f4("adapter", h1, h), f4("adapter", h, h1)
+        adapter = HashAdapter(htable, ha, hb, int(p), w1, w2)
+    else:
+        adapter = RqVaeAdapter(f4("adapter", levels, d_r, k), codes)
+    if off != len(buf):
+        raise ValueError(f"checkpoint has {len(buf) - off} trailing bytes after the adapter")
+    return FullEmbeddingTable(table), adapter

@@ -88,6 +88,10 @@ class TestConfig:
         p.write_text(ExperimentConfig().to_text(), encoding="utf-8")
         assert load_config(p).dp.clip is None      # unset is written as empty
 
+    def test_delta_aggregation_is_a_config_error_suggesting_mean(self):
+        with pytest.raises(ConfigError, match=r"federation\.aggregation.*use mean"):
+            load_config(None, overrides=["federation.aggregation=delta"]).validate()
+
     def test_prime_collision_parameter_alternative(self):
         cfg = load_config(None, overrides=["strategy.p=4093"])
         assert cfg.strategy.p == 4093

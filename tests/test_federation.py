@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedembed.backbones import local_step
 from fedembed.config import ExperimentConfig
-from fedembed.federation import (Simulation, aggregate, metrics_csv, rounds_csv,
-                                 select_clients)
+from fedembed.data import choice_excluding
+from fedembed.federation import (RowUpload, Simulation, aggregate, densify, metrics_csv,
+                                 rounds_csv, select_clients)
 from fedembed.rng import RngStream
 from fedembed.strategies import comm_cost
 
@@ -93,21 +99,120 @@ class TestAggregate:
                         weights=np.array([3.0, 1.0]))
         assert np.allclose(out[0], 2.5)
 
-    def test_delta_mode_matches_mean_for_uniform_weights(self, rng):
-        ref = [rng.normal(0, 1, (4,))]
-        ups = [[ref[0] + rng.normal(0, 0.1, 4)] for _ in range(4)]
-        plain = aggregate(ups)
-        delta = aggregate(ups, reference=ref)
-        assert np.allclose(plain[0], delta[0], atol=1e-12)
+    def test_row_uploads_need_the_snapshot(self):
+        up = RowUpload(np.array([0]), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="snapshot"):
+            aggregate([[up], [up]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fold_equals_stacked_weighted_sum_bytewise(self, data):
+        shape = data.draw(st.sampled_from([(1,), (2,), (7, 3), (2, 5, 3)]), label="shape")
+        c = data.draw(st.integers(1, 40), label="clients")
+        only_negative_zeros = data.draw(st.booleans(), label="only -0.0")
+        integer_weights = data.draw(st.booleans(), label="integer weights")
+        # float64 tensors show a change of summation order that rounding to
+        # float32 mostly hides
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        def tensor():
+            if only_negative_zeros:
+                return np.full(shape, -0.0, dtype=dtype)
+            t = rng.normal(0, 1, shape) * 10.0 ** rng.uniform(-6, 3)
+            t[rng.random(shape) < 0.2] = -0.0
+            return t.astype(dtype)
+
+        snapshot = tensor()
+        uploads, dense = [], []
+        for _ in range(c):
+            kind = data.draw(st.sampled_from(["dense", "rows", "no rows", "all rows"]))
+            t = tensor()
+            if kind == "dense":
+                uploads.append([t])
+                dense.append(t)
+                continue
+            n = shape[0]
+            rows = {"rows": np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                               replace=False)),
+                    "no rows": np.empty(0, dtype=np.int64),
+                    "all rows": np.arange(n)}[kind].astype(np.int64)
+            uploads.append([RowUpload(rows, t[rows])])
+            dense.append(densify(uploads[-1][0], snapshot))
+        weights = rng.integers(1, 30, c).astype(np.float64) if integer_weights else None
+        w = np.full(c, 1.0 / c) if weights is None else weights / weights.sum()
+        expected = (np.stack(dense) * w.reshape((c,) + (1,) * len(shape))).sum(axis=0)
+        (got,) = aggregate(uploads, weights=weights, snapshot=[snapshot])
+        assert got.dtype == dtype
+        assert got.tobytes() == expected.astype(dtype).tobytes()
+
+
+def dense_reference_client(sim, u, round_idx):
+    """A client that copies the whole adapter and steps it on global item
+    ids, with the same keyed draws as `Simulation._client_round`."""
+    cfg = sim.config.federation
+    adapter, backbone = sim.adapter.copy(), sim.backbone.copy()
+    state = sim.user_states[u].copy()
+    positives = sim.split.train_positives[u]
+    dropout_rng = sim.streams.generator("dropout", u, round_idx)
+    losses = []
+    for epoch in range(cfg.local_epochs):
+        negs = choice_excluding(sim.log.n_items, positives, cfg.neg_per_pos * len(positives),
+                                sim.streams.generator("train_neg", u, round_idx, epoch),
+                                replace=True)
+        items = np.concatenate([positives, negs])
+        labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
+                                 np.zeros(len(negs), dtype=np.float32)])
+        perm = sim.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
+        items, labels = items[perm], labels[perm]
+        for start in range(0, len(items), cfg.batch_size):
+            sl = slice(start, start + cfg.batch_size)
+            losses.append(local_step(backbone, state, adapter, sim.base.table,
+                                     items[sl], labels[sl], cfg.lr, dropout_rng))
+    shared = [] if backbone.mlp is None else backbone.mlp.params()
+    return adapter.trainable() + shared, state, float(np.mean(losses))
+
+
+def state_tensors(state):
+    return [state.embedding] if state.embedding is not None else state.mlp.params()
 
 
 class TestClientRound:
+    @pytest.mark.parametrize("backbone", ["fedmf", "fedncf", "pfedrec"])
+    @pytest.mark.parametrize("kind,senet", [("full", False), ("lora", False),
+                                            ("hash", False), ("hash", True),
+                                            ("rqvae", False)])
+    def test_row_client_matches_dense_reference(self, kind, senet, backbone):
+        cfg = small_config(**{"strategy.kind": kind, "strategy.senet": senet,
+                              "backbone": backbone, "federation.warmup_rounds": 1,
+                              "federation.lr": 0.5, "federation.batch_size": 8})
+        sim = Simulation(cfg)
+        sim.run_round()
+        if kind != "full":
+            sim.freeze_and_init_adapter()
+            sim.run_round()      # adapter tensors away from their zero start
+        snapshot = sim.adapter.trainable() + ([] if sim.backbone.mlp is None
+                                               else sim.backbone.mlp.params())
+        u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
+        up = sim._client_round(u, sim.round)
+        want, want_state, want_loss = dense_reference_client(sim, u, sim.round)
+        assert len(up.tensors) == len(snapshot)
+        got = [densify(t, s) for t, s in zip(up.tensors, snapshot)]
+        assert up.trained and up.loss == want_loss
+        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+        assert [t.tobytes() for t in state_tensors(up.state)] == \
+            [t.tobytes() for t in state_tensors(want_state)]
+        if kind in ("full", "lora"):
+            (rows, values), *_ = up.tensors
+            assert 0 < len(rows) < sim.log.n_items and len(values) == len(rows)
+
     def test_zero_local_epochs_returns_snapshot_bits(self):
         sim = Simulation(small_config(**{"federation.local_epochs": 0}))
         up = sim._client_round(3, 0)
         assert not up.trained
-        for got, snap in zip(up.adapter_tensors, sim.adapter.trainable()):
-            assert got.tobytes() == snap.tobytes()
+        for got, snap in zip(up.tensors, sim.adapter.trainable()):
+            assert len(got.rows) == 0
+            assert densify(got, snap).tobytes() == snap.tobytes()
 
     def test_upload_bytes_match_cost_model(self):
         for kind, backbone in [("lora", "fedmf"), ("hash", "fedncf"),
@@ -132,20 +237,45 @@ class TestClientRound:
     def test_pfedrec_uploads_have_no_user_side_parameters(self):
         cfg = small_config(backbone="pfedrec")
         sim = Simulation(cfg)
+        snapshot = sim.adapter.trainable()
         up = sim._client_round(1, 0)
-        assert up.wg_tensors == []
         # upload consists solely of the item-side table in warm-up
-        assert up.upload_bytes == comm_cost("full", sim.log.n_items, cfg.k)
-        shapes = {t.shape for t in up.adapter_tensors}
-        assert shapes == {(sim.log.n_items, cfg.k)}
+        shapes = [densify(t, s).shape for t, s in zip(up.tensors, snapshot)]
+        assert shapes == [(sim.log.n_items, cfg.k)]
+        assert sim.run_round().bytes_per_client == comm_cost("full", sim.log.n_items, cfg.k)
 
     def test_same_key_same_update(self):
         sim = Simulation(small_config())
         a = sim._client_round(2, 1)
         b = sim._client_round(2, 1)
         assert a.loss == b.loss
-        for x, y in zip(a.adapter_tensors, b.adapter_tensors):
-            assert x.tobytes() == y.tobytes()
+        for (rows_a, x), (rows_b, y) in zip(a.tensors, b.tensors):
+            assert rows_a.tobytes() == rows_b.tobytes() and x.tobytes() == y.tobytes()
+
+
+class TestRoundMemory:
+    @staticmethod
+    def warmup_round_peak(sample_ratio):
+        cfg = small_config(**{"data.users": 400, "data.items": 2000, "backbone": "fedmf",
+                              "strategy.kind": "lora", "federation.rounds": 1,
+                              "federation.warmup_rounds": 1,
+                              "federation.sample_ratio": sample_ratio})
+        sim = Simulation(cfg)
+        tracemalloc.start()
+        try:
+            sim.run_round()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, sim.base.table.nbytes, len(sim.reports[0].clients)
+
+    def test_warmup_round_does_not_hold_a_table_per_client(self):
+        peak_400, table_bytes, clients = self.warmup_round_peak(1.0)
+        peak_100, _, fewer = self.warmup_round_peak(0.25)
+        assert (clients, fewer) == (400, 100)
+        # a dense copy, upload and float64 product per client took about 390 MB
+        assert peak_400 < 40e6
+        assert (peak_400 - peak_100) / (clients - fewer) < table_bytes
 
 
 class TestPhases:
@@ -238,6 +368,37 @@ class TestDp:
         plain = Simulation(small_config()).run()
         noisy = Simulation(small_config(**{"dp.mode": "cdp", "dp.delta": 0.05})).run()
         assert [r.base_hash for r in plain.reports] != [r.base_hash for r in noisy.reports]
+
+    @pytest.mark.parametrize("mode", ["ldp", "cdp"])
+    def test_clip_bounds_the_update_not_the_parameters(self, mode):
+        # clipping the parameters took this table's norm from 0.234 to the clip
+        clip = 0.05
+        cfg = small_config(**{"data.users": 60, "data.items": 50, "strategy.kind": "full",
+                              "dp.mode": mode, "dp.delta": 1e-6, "dp.clip": clip})
+        sim = Simulation(cfg)
+        before = float(np.linalg.norm(sim.base.table))
+        sim.run_round()
+        after = float(np.linalg.norm(sim.base.table))
+        assert before > 4 * clip
+        assert abs(after - before) <= clip + 1e-3
+
+    def test_every_client_update_within_clip_without_noise(self):
+        clip = 0.01
+        cfg = small_config(**{"backbone": "fedncf", "federation.lr": 1.0,
+                              "federation.warmup_rounds": 1, "dp.mode": "ldp",
+                              "dp.delta": 0.0, "dp.clip": clip})
+        sim = Simulation(cfg)
+        norms = []
+        for _ in range(2):           # a warm-up round, then a lora round
+            sim._maybe_transition()
+            snapshot = sim.adapter.trainable() + sim.backbone.mlp.params()
+            for u in select_clients(sim.log.n_users, 0.25, sim.streams, sim.round):
+                up = sim._client_round(int(u), sim.round)
+                for t, s in zip(up.tensors, snapshot):
+                    norms.append(np.linalg.norm(densify(t, s).astype(np.float64) - s))
+            sim.run_round()
+        assert max(norms) <= clip * (1 + 1e-6)
+        assert max(norms) > 0.99 * clip        # some update was clipped
 
 
 class TestFailure:

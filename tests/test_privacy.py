@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedembed.privacy import DpConfig, apply_cdp, apply_ldp, laplace_noise
+from fedembed.privacy import DpConfig, apply_cdp, apply_ldp, clip_update, laplace_noise
 from fedembed.rng import RngStream
 
 
@@ -79,10 +79,15 @@ class TestApply:
         assert apply_ldp(tensors, cfg, np.random.default_rng(0))[0] is tensors[0]
 
     def test_optional_clipping_bounds_norm(self):
-        cfg = DpConfig(mode="ldp", delta=1e-9, clip=1.0)
-        big = [np.full(16, 10.0)]
-        out = apply_ldp(big, cfg, np.random.default_rng(0))
-        assert np.linalg.norm(out[0]) <= 1.0 + 1e-6
+        # the clip bounds the update from the snapshot, not the parameters
+        snapshot = np.full(16, 3.0, dtype=np.float32)
+        big = np.full(16, 10.0, dtype=np.float32)
+        out = clip_update(big, snapshot, 1.0)
+        assert out.dtype == np.float32
+        assert np.linalg.norm(out.astype(np.float64) - snapshot) <= 1.0 + 1e-6
+        assert np.allclose(out, 3.25)
+        small = snapshot + np.float32(0.2)
+        assert clip_update(small, snapshot, 1.0) is small
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, relative_error
@@ -398,3 +398,63 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(p)
+
+    @staticmethod
+    def checkpoint_bytes(kind, tmp_path, **kwargs):
+        n, k = 7, 5
+        if kind == "rqvae":
+            kwargs["codes"] = np.arange(2 * n).reshape(n, 2) % 4
+        adapter = make_adapter(kind, n, k, RngStream(4), init="base_distribution", **kwargs)
+        base = FullEmbeddingTable(adapter.table if kind == "full" else base_table(n, k))
+        path = tmp_path / "model.fpeb"
+        save_checkpoint(path, base, adapter)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("full", {}),
+        ("lora", {"rank": 3}),
+        ("hash", {"d_h": 8, "n_hashes": 2, "p": 11}),
+        ("hash", {"d_h": 8, "n_hashes": 2, "p": 11, "senet": True, "expansion": 4}),
+        ("rqvae", {"levels": 2, "d_r": 4}),
+    ])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated_or_extended_checkpoint_rejected(self, kind, kwargs, tmp_path, data):
+        good = self.checkpoint_bytes(kind, tmp_path, **kwargs)
+        if data.draw(st.booleans(), label="truncate"):
+            bad = good[:data.draw(st.integers(0, len(good) - 1), label="length")]
+        else:
+            bad = good + data.draw(st.binary(min_size=1, max_size=64), label="extra")
+        path = tmp_path / "bad.fpeb"
+        path.write_bytes(bad)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut,section", [(4, "header"), (20, "base table"),
+                                             (-1, "adapter")])
+    def test_truncation_names_the_section(self, tmp_path, cut, section):
+        good = self.checkpoint_bytes("lora", tmp_path, rank=3)
+        bad = good[:cut] if cut > 0 else good[:-4 * 3 * 5 - 1]
+        (tmp_path / "bad.fpeb").write_bytes(bad)
+        with pytest.raises(ValueError, match=f"truncated in the {section}"):
+            load_checkpoint(tmp_path / "bad.fpeb")
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        (tmp_path / "bad.fpeb").write_bytes(self.checkpoint_bytes("full", tmp_path) + b"\0")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            load_checkpoint(tmp_path / "bad.fpeb")
+
+    def test_out_of_range_hash_parameters_and_codes_rejected(self, tmp_path):
+        # hash: magic, u16 version, u8 tag, n, k, then d_h, h, p, h1 and a[0]
+        buf = bytearray(self.checkpoint_bytes("hash", tmp_path, d_h=8, n_hashes=2, p=11))
+        buf[31:35] = (11).to_bytes(4, "little")
+        (tmp_path / "bad.fpeb").write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match="hash parameters"):
+            load_checkpoint(tmp_path / "bad.fpeb")
+        # rqvae: ..., n, k, then levels, d_r and codes[0, 0]
+        buf = bytearray(self.checkpoint_bytes("rqvae", tmp_path, levels=2, d_r=4))
+        buf[23:27] = (4).to_bytes(4, "little")
+        (tmp_path / "bad.fpeb").write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match="codes"):
+            load_checkpoint(tmp_path / "bad.fpeb")
