@@ -2,10 +2,9 @@
 parameter-efficient item embeddings."""
 
 from .config import ExperimentConfig, load_config
-from .federation import Simulation, run_experiment
+from .federation import Simulation
 from .rng import RngStream
 
 __version__ = "0.1.0"
 
-__all__ = ["ExperimentConfig", "RngStream", "Simulation", "load_config",
-           "run_experiment", "__version__"]
+__all__ = ["ExperimentConfig", "RngStream", "Simulation", "load_config", "__version__"]

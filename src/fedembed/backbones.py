@@ -16,6 +16,12 @@ from .numerics import Mlp, init_uniform, mlp_backward, mlp_forward, sgd_step
 from .rng import RngStream
 
 BACKBONE_KINDS = ("fedmf", "fedncf", "pfedrec")
+PFEDREC_DROPOUT = 0.5
+
+
+def _activations(n_layers: int) -> list[str]:
+    """ReLU between layers, identity on the output logit."""
+    return ["relu"] * (n_layers - 1) + ["identity"]
 
 
 @dataclass
@@ -28,6 +34,44 @@ class UserState:
     def copy(self) -> "UserState":
         return UserState(None if self.embedding is None else self.embedding.copy(),
                          None if self.mlp is None else self.mlp.copy())
+
+
+@dataclass
+class UserTable:
+    """Every user's private parameters, stacked over a leading user axis:
+    the (m, k) user embeddings (fedmf, fedncf), or the personal MLP's weights
+    (m, out, in) and biases (m, out) per layer (pfedrec). These arrays are
+    exactly what `sim_state.npz` stores. `table[u]` is user u's `UserState`
+    as views of its rows; `table[u] = state` writes a client's state back."""
+
+    embedding: np.ndarray | None = None
+    weights: list[np.ndarray] | None = None
+    biases: list[np.ndarray] | None = None
+    dropout: float = PFEDREC_DROPOUT
+
+    @classmethod
+    def stack(cls, states: list[UserState]) -> "UserTable":
+        if states[0].mlp is None:
+            return cls(embedding=np.stack([s.embedding for s in states]))
+        return cls(weights=[np.stack(w) for w in zip(*(s.mlp.weights for s in states))],
+                   biases=[np.stack(b) for b in zip(*(s.mlp.biases for s in states))],
+                   dropout=states[0].mlp.dropout)
+
+    def __len__(self) -> int:
+        return len(self.embedding if self.embedding is not None else self.weights[0])
+
+    def __getitem__(self, u: int) -> UserState:
+        if self.embedding is not None:
+            return UserState(embedding=self.embedding[u])
+        return UserState(mlp=Mlp([w[u] for w in self.weights], [b[u] for b in self.biases],
+                                 _activations(len(self.weights)), self.dropout))
+
+    def __setitem__(self, u: int, state: UserState) -> None:
+        if self.embedding is not None:
+            self.embedding[u] = state.embedding
+            return
+        for stacked, t in zip(self.weights + self.biases, state.mlp.params()):
+            stacked[u] = t
 
 
 @dataclass
@@ -52,13 +96,14 @@ def make_backbone(kind: str, k: int, streams: RngStream,
     if kind != "fedncf":
         return Backbone(kind)
     sizes = [2 * k, *ncf_hidden, 1]
-    acts = ["relu"] * (len(sizes) - 2) + ["identity"]
-    mlp = Mlp.create(sizes, acts, streams.generator("init_ncf"), dropout=dropout, dtype=dtype)
+    mlp = Mlp.create(sizes, _activations(len(sizes) - 1), streams.generator("init_ncf"),
+                     dropout=dropout, dtype=dtype)
     return Backbone(kind, mlp)
 
 
 def make_user_state(kind: str, k: int, user: int, streams: RngStream,
-                    pfedrec_hidden: tuple[int, ...] = (64, 32), dropout: float = 0.5,
+                    pfedrec_hidden: tuple[int, ...] = (64, 32),
+                    dropout: float = PFEDREC_DROPOUT,
                     scale: float = 0.1, dtype=np.float32) -> UserState:
     if kind in ("fedmf", "fedncf"):
         emb = init_uniform(streams.generator("init_user", user), (k,),
@@ -66,9 +111,8 @@ def make_user_state(kind: str, k: int, user: int, streams: RngStream,
         return UserState(embedding=emb)
     if kind == "pfedrec":
         sizes = [k, *pfedrec_hidden, 1]
-        acts = ["relu"] * (len(sizes) - 2) + ["identity"]
-        mlp = Mlp.create(sizes, acts, streams.generator("init_user", user),
-                         dropout=dropout, dtype=dtype)
+        mlp = Mlp.create(sizes, _activations(len(sizes) - 1),
+                         streams.generator("init_user", user), dropout=dropout, dtype=dtype)
         return UserState(mlp=mlp)
     raise ValueError(f"unknown backbone {kind!r}")
 

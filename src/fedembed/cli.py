@@ -32,7 +32,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored: clients always train one after another")
     p.add_argument("--unsafe", action="store_true",
                    help="skip hyperparameter grid validation")
 
@@ -48,8 +49,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides.append(f"out_dir={args.out_dir}")
     if args.rounds is not None:
         overrides.append(f"federation.rounds={args.rounds}")
-    if args.workers is not None:
-        overrides.append(f"federation.workers={args.workers}")
     if args.unsafe:
         overrides.append("unsafe=true")
     return load_config(args.config, overrides)

@@ -4,6 +4,7 @@ validation against the supported hyperparameter grids."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -62,7 +63,6 @@ class FederationConfig:
     lr: float = 0.01
     batch_size: int = 256
     neg_per_pos: int = 4
-    workers: int = 1                   # accepted; clients always train serially
     aggregation: str = "mean"          # mean | weighted
     checkpoint_every: int = 0
 
@@ -115,16 +115,13 @@ class ExperimentConfig:
         if self.federation.aggregation not in ("mean", "weighted"):
             raise ConfigError(f"federation.aggregation: unknown value "
                               f"{self.federation.aggregation!r}")
-        if self.federation.rounds < 0 or self.federation.warmup_rounds < 0:
-            raise ConfigError("federation.rounds/warmup_rounds: must be >= 0")
         if self.dp.mode not in ("none", "ldp", "cdp"):
             raise ConfigError(f"dp.mode: unknown value {self.dp.mode!r}")
-        if self.dp.delta < 0:
-            raise ConfigError("dp.delta: must be >= 0")
         if self.dp.clip is not None and not self.dp.clip > 0:
             raise ConfigError(f"dp.clip: must be > 0, got {self.dp.clip}")
         if self.strategy.p < self.strategy.d_h:
             raise ConfigError("strategy.p: must be >= strategy.d_h")
+        self._validate_numbers()
         if self.unsafe:
             return
         for key, allowed in GRIDS.items():
@@ -134,17 +131,39 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: {value} outside supported grid "
                                   f"{sorted(allowed)} (use unsafe=true to override)")
 
+    def _validate_numbers(self) -> None:
+        """Numeric fields must be in range before anything runs, whatever
+        `unsafe` says; a bad one raises a `ConfigError` naming its key."""
+        for key in ("k", "data.users", "data.items", "data.user_clusters",
+                    "data.item_clusters", "data.feature_dim", "strategy.rank",
+                    "strategy.d_h", "strategy.n_hashes", "strategy.expansion",
+                    "strategy.levels", "strategy.d_r", "federation.batch_size",
+                    "pretrain.batch_size"):
+            _require(self, key, lambda v: v >= 1, ">= 1")
+        for key in ("user_scale", "data.min_interactions", "federation.rounds",
+                    "federation.warmup_rounds", "federation.local_epochs",
+                    "federation.neg_per_pos", "federation.checkpoint_every", "dp.delta",
+                    "pretrain.steps", "pretrain.rq_steps", "pretrain.beta"):
+            _require(self, key, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+        for key in ("federation.lr", "pretrain.lr"):
+            _require(self, key, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+        _require(self, "data.affinity", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _require(self, "data.min_interactions", lambda v: v <= self.data.max_interactions,
+                 f"<= data.max_interactions ({self.data.max_interactions})")
+        _require(self, "data.item_clusters", lambda v: v <= self.data.items,
+                 f"<= data.items ({self.data.items})")
+        _require(self, "eval.ks", lambda ks: all(k >= 1 for k in ks), "cutoffs >= 1")
+        _require(self, "eval.negatives", lambda v: v >= -1, ">= 0, or -1 for all items")
+
     def to_text(self) -> str:
         """Canonical flat key=value dump (sorted); input format and hash basis.
 
-        Runtime-environment keys (out_dir, federation.workers) are excluded:
-        they never affect results, so neither artifacts nor the config hash
-        should depend on them.
+        `out_dir` is excluded: it never affects results, so neither artifacts
+        nor the config hash should depend on it.
         """
-        skip = {"out_dir", "federation.workers"}
         lines = []
         for key, obj, attr in _iter_items(self):
-            if key in skip:
+            if key == "out_dir":
                 continue
             v = getattr(obj, attr)
             if isinstance(v, tuple):
@@ -163,6 +182,14 @@ class ExperimentConfig:
 # fields() on ExperimentConfig itself would recurse into sections; list the
 # scalar top-level keys explicitly instead.
 _TOP_LEVEL = ("backbone", "k", "user_scale", "seed", "out_dir", "unsafe")
+
+
+def _require(cfg: ExperimentConfig, key: str, ok, need: str) -> None:
+    value = cfg
+    for name in key.split("."):
+        value = getattr(value, name)
+    if not ok(value):
+        raise ConfigError(f"{key}: must be {need}, got {value!r}")
 
 
 def _iter_items(cfg: ExperimentConfig):

@@ -35,10 +35,6 @@ class InteractionLog:
     def sparsity(self) -> float:
         return 1.0 - len(self) / (self.n_users * self.n_items)
 
-    def summary(self) -> dict:
-        return {"users": self.n_users, "items": self.n_items,
-                "interactions": len(self), "sparsity": self.sparsity}
-
     def interactions_of(self, user: int) -> np.ndarray:
         """Indices into the log arrays for one user, ordered as stored."""
         if self._by_user is None:

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics
-from .backbones import Backbone, UserState, local_step, make_backbone, make_user_state
+from .backbones import (Backbone, UserState, UserTable, local_step, make_backbone,
+                        make_user_state)
 from .config import ExperimentConfig
 from .data import (EvalSplit, InteractionLog, attach_eval_negatives, build_item_features,
                    choice_excluding, leave_one_out_split, load_interactions,
@@ -35,8 +35,8 @@ from .numerics import init_uniform
 from .pretrain import PretrainConfig, train_autoencoder, train_rqvae
 from .privacy import apply_cdp, apply_ldp, clip_update
 from .rng import RngStream
-from .strategies import (Adapter, FullAdapter, FullEmbeddingTable, make_adapter,
-                         save_checkpoint, serialize_upload)
+from .strategies import (Adapter, FullEmbeddingTable, make_adapter, save_checkpoint,
+                         serialize_upload)
 
 
 @dataclass
@@ -47,7 +47,6 @@ class RoundReport:
     bytes_per_client: int
     aggregate_bytes: int
     train_loss: float
-    wall_time: float
     base_hash: str                  # sha256 of the full table bytes
     metrics: dict[str, float] | None = None
 
@@ -159,9 +158,7 @@ def _clip(t: Upload, snapshot: np.ndarray, clip: float) -> Upload:
 
 
 def _backbone_tensors(backbone: Backbone) -> list[np.ndarray]:
-    if backbone.mlp is None:
-        return []
-    return list(backbone.mlp.weights) + list(backbone.mlp.biases)
+    return [] if backbone.mlp is None else backbone.mlp.params()
 
 
 def _install_backbone(backbone: Backbone, tensors: list[np.ndarray]) -> None:
@@ -180,8 +177,7 @@ class SavedState:
     adapter: Adapter                # with its semantic codes or hash parameters
     round: int
     backbone: list[np.ndarray]      # shared MLP weights then biases; none for fedmf/pfedrec
-    users: list[np.ndarray]         # stacked over users: the embeddings (fedmf, fedncf)
-                                    # or the personal MLP weights then biases (pfedrec)
+    users: UserTable
 
 
 class Simulation:
@@ -237,35 +233,24 @@ class Simulation:
                 self.codes = code_rng.integers(0, config.strategy.d_r,
                                                size=(n, config.strategy.levels))
 
+        # the warm-up trains the base table itself: adapter and base are one object
         self.base = FullEmbeddingTable(table)
-        self.adapter: Adapter = FullAdapter(self.base.table)
-        self.user_states = {u: make_user_state(config.backbone, k, u, self.streams,
-                                               scale=config.user_scale)
-                            for u in range(self.log.n_users)}
+        self.adapter: Adapter = self.base
+        self.user_states = UserTable.stack([
+            make_user_state(config.backbone, k, u, self.streams, scale=config.user_scale)
+            for u in range(self.log.n_users)])
 
     def _restore(self, saved: SavedState) -> None:
-        cfg = self.config
         if saved.base.n_items != self.log.n_items:
             raise ValueError(f"saved item table has {saved.base.n_items} items, "
                              f"the interaction log {self.log.n_items}")
+        if len(saved.users) != self.log.n_users:
+            raise ValueError(f"saved state has {len(saved.users)} users, "
+                             f"the interaction log {self.log.n_users}")
         self.base, self.adapter, self.round = saved.base, saved.adapter, saved.round
         self.codes = getattr(saved.adapter, "codes", None)
         _install_backbone(self.backbone, saved.backbone)
-        if cfg.backbone in ("fedmf", "fedncf"):
-            (emb,) = saved.users
-            states = [UserState(embedding=row) for row in emb]
-        else:
-            # the personal MLP architecture, as a fresh client would build it
-            mlp = make_user_state(cfg.backbone, cfg.k, 0, self.streams,
-                                  scale=cfg.user_scale).mlp
-            n_layers = len(mlp.weights)
-            states = [UserState(mlp=replace(mlp, weights=[w[u] for w in saved.users[:n_layers]],
-                                            biases=[b[u] for b in saved.users[n_layers:]]))
-                      for u in range(len(saved.users[0]))]
-        if len(states) != self.log.n_users:
-            raise ValueError(f"saved state has {len(states)} users, "
-                             f"the interaction log {self.log.n_users}")
-        self.user_states = dict(enumerate(states))
+        self.user_states = saved.users
 
     def _load_log(self) -> InteractionLog:
         d = self.config.data
@@ -287,18 +272,17 @@ class Simulation:
         return "warmup" if self.round < self.warmup_rounds else "peft"
 
     def _maybe_transition(self) -> None:
-        if self.round != self.warmup_rounds or isinstance(self.adapter, FullAdapter) is False:
-            return
-        if self.config.strategy.kind == "full":
-            return
-        self.freeze_and_init_adapter()
+        """The run's one transition point: leave the warm-up once it is over,
+        unless the strategy is full, which trains the table to the end."""
+        if (self.round == self.warmup_rounds and self.adapter is self.base
+                and self.config.strategy.kind != "full"):
+            self.freeze_and_init_adapter()
 
     def freeze_and_init_adapter(self) -> None:
         """Warm-up -> adapter boundary: freeze the table, build the adapter."""
-        if not isinstance(self.adapter, FullAdapter):
+        if self.adapter is not self.base:
             raise RuntimeError("adapter already initialized")
         s = self.config.strategy
-        self.base.table = self.adapter.table  # latest aggregate
         self.base.freeze()
         self.adapter = make_adapter(
             s.kind, self.log.n_items, self.config.k, self.streams.child("adapter_init"),
@@ -360,8 +344,7 @@ class Simulation:
     def run_round(self) -> RoundReport:
         cfg = self.config.federation
         self._maybe_transition()
-        round_idx = self.round
-        t0 = time.perf_counter()
+        round_idx, phase = self.round, self.phase
 
         clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams, round_idx)
         # every client is charged the paper's dense payload, whatever rows it trained
@@ -384,8 +367,6 @@ class Simulation:
                 raise FloatingPointError(f"non-finite aggregate at round {round_idx}")
         self.adapter.set_trainable(agg[:n_adapter])
         _install_backbone(self.backbone, agg[n_adapter:])
-        if isinstance(self.adapter, FullAdapter):
-            self.base.table = self.adapter.table
         for up in updates:
             self.user_states[up.client] = up.state
 
@@ -393,12 +374,11 @@ class Simulation:
         trained_losses = [up.loss for up in updates if up.trained]
         report = RoundReport(
             round=round_idx,
-            phase="warmup" if round_idx < self.warmup_rounds else "peft",
+            phase=phase,
             clients=[up.client for up in updates],
             bytes_per_client=upload_bytes,
             aggregate_bytes=upload_bytes * len(updates),
             train_loss=float(np.mean(trained_losses)) if trained_losses else float("nan"),
-            wall_time=time.perf_counter() - t0,
             base_hash=hashlib.sha256(self.base.table.tobytes()).hexdigest(),
         )
         self.reports.append(report)
@@ -411,7 +391,7 @@ class Simulation:
     def top_k_lists(self, k: int = 20) -> dict[int, np.ndarray]:
         """Per test user, the top-k recommendation list (training items held out)."""
         out = {}
-        for u in split_users(self.split):
+        for u in self.split.test_users.tolist():
             out[u] = metrics.top_k_items(self.backbone, self.user_states[u], self.adapter,
                                          self.base.table, self.split.train_positives[u],
                                          self.log.n_items, k)
@@ -431,23 +411,11 @@ class Simulation:
             if checkpoint_dir is not None and ckpt_every > 0 and self.round % ckpt_every == 0:
                 save_checkpoint(Path(checkpoint_dir) / f"round_{self.round:06d}.fpeb",
                                 self.base, self.adapter)
-        # a full-strategy run never transitions mid-loop; peft configs with
-        # rounds == warmup_rounds freeze at the very end
-        if cfg.strategy.kind != "full" and isinstance(self.adapter, FullAdapter) \
-                and self.round == self.warmup_rounds:
-            self.freeze_and_init_adapter()
-        final = self.metric_history[-1][1] if self.metric_history else self.evaluate()
+        # runs with rounds == warmup_rounds leave the warm-up here
+        self._maybe_transition()
+        final = self.metric_history[-1][1]
         return ExperimentResult(self.reports, self.metric_history, final,
                                 cfg.config_hash(), cfg.seed)
-
-
-def split_users(split: EvalSplit) -> list[int]:
-    return [int(u) for u in split.test_users]
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Build a simulation from the config and run it to completion."""
-    return Simulation(config).run()
 
 
 def save_sim_state(sim: Simulation, out_dir: str | Path) -> None:
@@ -458,17 +426,13 @@ def save_sim_state(sim: Simulation, out_dir: str | Path) -> None:
     arrays: dict[str, np.ndarray] = {"round": np.array([sim.round])}
     if sim.backbone.mlp is not None:
         for l, (w, b) in enumerate(zip(sim.backbone.mlp.weights, sim.backbone.mlp.biases)):
-            arrays[f"wg_w{l}"] = w
-            arrays[f"wg_b{l}"] = b
-    states = sim.user_states
-    m = len(states)
-    if sim.config.backbone in ("fedmf", "fedncf"):
-        arrays["user_emb"] = np.stack([states[u].embedding for u in range(m)])
+            arrays[f"wg_w{l}"], arrays[f"wg_b{l}"] = w, b
+    users = sim.user_states
+    if users.embedding is not None:
+        arrays["user_emb"] = users.embedding
     else:
-        mlp0 = states[0].mlp
-        for l in range(len(mlp0.weights)):
-            arrays[f"user_w{l}"] = np.stack([states[u].mlp.weights[l] for u in range(m)])
-            arrays[f"user_b{l}"] = np.stack([states[u].mlp.biases[l] for u in range(m)])
+        for l, (w, b) in enumerate(zip(users.weights, users.biases)):
+            arrays[f"user_w{l}"], arrays[f"user_b{l}"] = w, b
     np.savez(out / "sim_state.npz", **arrays)
 
 
@@ -478,7 +442,7 @@ def load_sim_state(run_dir: str | Path) -> SavedState:
     run_dir = Path(run_dir)
     from .strategies import load_checkpoint
     base, adapter = load_checkpoint(run_dir / "embedding.fpeb")
-    if not isinstance(adapter, FullAdapter):
+    if adapter is not base:
         base.freeze()
     with np.load(run_dir / "sim_state.npz") as data:
         arrays = dict(data)
@@ -487,8 +451,8 @@ def load_sim_state(run_dir: str | Path) -> SavedState:
         return [arrays[f"{prefix}{l}"]
                 for l in range(sum(name.startswith(prefix) for name in arrays))]
 
-    users = [arrays["user_emb"]] if "user_emb" in arrays \
-        else layers("user_w") + layers("user_b")
+    users = UserTable(embedding=arrays["user_emb"]) if "user_emb" in arrays \
+        else UserTable(weights=layers("user_w"), biases=layers("user_b"))
     return SavedState(base, adapter, int(arrays["round"][0]),
                       layers("wg_w") + layers("wg_b"), users)
 

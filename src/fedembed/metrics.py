@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backbones import Backbone, UserState, score
+from .backbones import Backbone, UserState, UserTable, score
 from .data import EvalSplit
 
 
@@ -49,7 +49,7 @@ def rank_test_item(backbone: Backbone, state: UserState, adapter, base: np.ndarr
     return RankResult(user=user, rank=rank, n_candidates=len(candidates))
 
 
-def evaluate(backbone: Backbone, user_states: dict[int, UserState] | list[UserState],
+def evaluate(backbone: Backbone, user_states: UserTable | dict[int, UserState],
              adapter, base: np.ndarray, split: EvalSplit,
              ks: tuple[int, ...] = (10, 20)) -> dict[str, float]:
     """Mean HR@K / NDCG@K over test users, as percentages to two decimals."""

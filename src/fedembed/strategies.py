@@ -32,26 +32,6 @@ from .rng import RngStream
 STRATEGY_KINDS = ("full", "lora", "hash", "rqvae")
 
 
-@dataclass
-class FullEmbeddingTable:
-    """The n x k base item embeddings; bit-frozen once the warm-up ends."""
-
-    table: np.ndarray
-    frozen: bool = False
-
-    @property
-    def n_items(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
-    def freeze(self) -> None:
-        self.frozen = True
-        self.table.setflags(write=False)
-
-
 def _as_items(items) -> np.ndarray:
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
     return items
@@ -63,16 +43,23 @@ def _check_range(items: np.ndarray, n: int) -> None:
 
 
 @dataclass
-class FullAdapter:
-    """Warm-up / baseline strategy: the trainable table is the embedding."""
+class FullEmbeddingTable:
+    """The n x k item embeddings: the base table, and also the adapter of
+    the warm-up and of the full strategy, which train the table itself.
+    Bit-frozen once the warm-up ends."""
 
     table: np.ndarray
+    frozen: bool = False
     kind: str = "full"
     item_indexed: ClassVar[tuple[int, ...]] = (0,)
 
     @property
     def n_items(self) -> int:
         return self.table.shape[0]
+
+    def freeze(self) -> None:
+        self.frozen = True
+        self.table.setflags(write=False)
 
     def compose(self, base: np.ndarray | None, items) -> tuple[np.ndarray, dict]:
         items = _as_items(items)
@@ -88,10 +75,16 @@ class FullAdapter:
         return [self.table]
 
     def set_trainable(self, tensors: list[np.ndarray]) -> None:
+        if self.frozen:
+            raise RuntimeError("the base table is frozen")
         (self.table,) = _match(self.trainable(), tensors)
 
-    def copy(self, rows: np.ndarray | None = None) -> "FullAdapter":
-        return FullAdapter(self.table.copy() if rows is None else self.table[rows])
+    def copy(self, rows: np.ndarray | None = None) -> "FullEmbeddingTable":
+        return FullEmbeddingTable(self.table.copy() if rows is None else self.table[rows])
+
+
+# the full strategy's adapter, under the name callers outside this module use
+FullAdapter = FullEmbeddingTable
 
 
 @dataclass
@@ -323,7 +316,7 @@ class RqVaeAdapter:
                             self.codes if rows is None else self.codes[rows])
 
 
-Adapter = FullAdapter | LoraAdapter | HashAdapter | RqVaeAdapter
+Adapter = FullEmbeddingTable | LoraAdapter | HashAdapter | RqVaeAdapter
 
 
 def _match(current: list[np.ndarray], new: list[np.ndarray]) -> list[np.ndarray]:
@@ -369,7 +362,8 @@ def make_adapter(kind: str, n_items: int, k: int, streams: RngStream, *,
         else (lambda shape, rng: init_uniform(rng, shape, dtype=dtype))
 
     if kind == "full":
-        return FullAdapter(init_uniform(streams.generator("init_full"), (n_items, k), dtype=dtype))
+        return FullEmbeddingTable(init_uniform(streams.generator("init_full"), (n_items, k),
+                                               dtype=dtype))
     if kind == "lora":
         a = init_uniform(streams.generator("init_lora_a"), (n_items, rank), dtype=dtype)
         b = np.zeros((k, rank), dtype=dtype)
@@ -485,15 +479,16 @@ def save_checkpoint(path: str | Path, base: FullEmbeddingTable, adapter: Adapter
         out.append(struct.pack("<II", adapter.levels, adapter.d_r))
         out.append(np.ascontiguousarray(adapter.codes, dtype="<u4").tobytes())
     out.append(np.ascontiguousarray(base.table, dtype="<f4").tobytes())
-    if not isinstance(adapter, FullAdapter):
+    if adapter.kind != "full":
         out.append(serialize_upload(adapter))
     Path(path).write_bytes(b"".join(out))
 
 
 def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
-    """Read what `save_checkpoint` wrote. A truncated section, trailing
-    bytes, and hash parameters or codes out of range (checked by the
-    adapters) raise a `ValueError` that names the section."""
+    """Read what `save_checkpoint` wrote; a `full` checkpoint's table is its
+    own adapter, so it comes back as the same object twice. A truncated
+    section, trailing bytes, and hash parameters or codes out of range
+    (checked by the adapters) raise a `ValueError` that names the section."""
     buf = Path(path).read_bytes()
     if buf[:4] != _MAGIC:
         raise ValueError("not an embedding checkpoint (bad magic)")
@@ -533,10 +528,10 @@ def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
     elif name == "rqvae":
         levels, d_r = ints("codes", "<II")
         codes = u4("codes", n, levels)
-    table = f4("base table", n, k)
+    base = FullEmbeddingTable(f4("base table", n, k))
 
     if name == "full":
-        adapter: Adapter = FullAdapter(table)
+        adapter: Adapter = base
     elif name == "lora":
         adapter = LoraAdapter(f4("adapter", n, rank), f4("adapter", k, rank))
     elif name in ("hash", "hash_senet"):
@@ -549,4 +544,4 @@ def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
         adapter = RqVaeAdapter(f4("adapter", levels, d_r, k), codes)
     if off != len(buf):
         raise ValueError(f"checkpoint has {len(buf) - off} trailing bytes after the adapter")
-    return FullEmbeddingTable(table), adapter
+    return base, adapter

@@ -1,10 +1,13 @@
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedembed import federation
 from fedembed.cli import main
-from fedembed.config import ConfigError, ExperimentConfig, apply_setting, load_config
+from fedembed.config import GRIDS, ConfigError, ExperimentConfig, apply_setting, load_config
 
 
 BASE_SETTINGS = [
@@ -22,6 +25,55 @@ BASE_SETTINGS = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+CHOICES = {"backbone": ("fedmf", "fedncf", "pfedrec"),
+           "strategy.kind": ("full", "lora", "hash", "rqvae"),
+           "strategy.init": ("zero", "base_distribution"),
+           "federation.aggregation": ("mean", "weighted"),
+           "dp.mode": ("none", "ldp", "cdp")}
+# free-text values: nothing the key = value format treats specially
+TEXT = st.text(st.characters(blacklist_characters="#=",
+                             blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")),
+               max_size=12)
+POSITIVE_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@st.composite
+def valid_configs(draw) -> ExperimentConfig:
+    """Any config `validate` accepts: every field drawn by its type, within
+    the ranges and grids that the validation enforces."""
+    cfg = ExperimentConfig(unsafe=draw(st.booleans()))
+    sections = [("", cfg)] + [(f.name + ".", getattr(cfg, f.name)) for f in fields(cfg)
+                              if hasattr(getattr(cfg, f.name), "__dataclass_fields__")]
+    for prefix, obj in sections:
+        for f in fields(obj):
+            key, value = prefix + f.name, getattr(obj, f.name)
+            if key == "unsafe" or hasattr(value, "__dataclass_fields__"):
+                continue
+            if key in CHOICES:
+                new = draw(st.sampled_from(CHOICES[key]))
+            elif key in GRIDS and not cfg.unsafe:
+                new = draw(st.sampled_from(sorted(GRIDS[key])))
+            elif key == "dp.clip":
+                new = draw(st.none() | POSITIVE_FLOATS)
+            elif isinstance(value, bool):
+                new = draw(st.booleans())
+            elif isinstance(value, int):
+                new = draw(st.integers(1, 10**6))
+            elif isinstance(value, float):
+                new = draw(POSITIVE_FLOATS)
+            elif isinstance(value, tuple):
+                new = tuple(draw(st.lists(st.integers(1, 4096), max_size=4)))
+            else:
+                new = draw(TEXT)
+            setattr(obj, f.name, new)
+    s, d = cfg.strategy, cfg.data
+    s.p = s.d_h + draw(st.integers(0, 10**6))
+    d.max_interactions = d.min_interactions + draw(st.integers(0, 100))
+    d.items = d.item_clusters + draw(st.integers(0, 10**6))
+    cfg.validate()
+    return cfg
 
 
 class TestConfig:
@@ -92,6 +144,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"federation\.aggregation.*use mean"):
             load_config(None, overrides=["federation.aggregation=delta"]).validate()
 
+    @given(valid_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_text_round_trip_gives_an_equal_config(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("round_trip") / "dump.cfg"
+        path.write_text(cfg.to_text(), encoding="utf-8")
+        again = load_config(path)
+        assert again.config_hash() == cfg.config_hash()
+        again.out_dir = cfg.out_dir           # the one key to_text leaves out
+        assert again == cfg
+
+    def test_workers_is_no_longer_a_config_key(self):
+        with pytest.raises(ConfigError, match="federation.workers"):
+            load_config(None, overrides=["federation.workers=2"])
+
     def test_prime_collision_parameter_alternative(self):
         cfg = load_config(None, overrides=["strategy.p=4093"])
         assert cfg.strategy.p == 4093
@@ -147,6 +213,20 @@ class TestCliTrain:
         assert run_cli(*args) == 1
         assert "dp.clip" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "federation.batch_size=0", "federation.local_epochs=-1", "federation.neg_per_pos=-1",
+        "federation.lr=-1", "federation.lr=nan", "eval.ks=0", "user_scale=-1",
+        "data.users=0", "data.min_interactions=50", "k=0",
+    ])
+    def test_bad_number_is_a_config_error_naming_the_key(self, tmp_path, capsys, setting):
+        args = ["train", "--out-dir", str(tmp_path / "run")]
+        for s in BASE_SETTINGS + [setting]:
+            args += ["--set", s]
+        assert run_cli(*args) == 1
+        key = setting.partition("=")[0]
+        assert f"config error: {key}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_artifacts_embed_config_hash_and_seed(self, tmp_path, capsys):
         out = self._train(tmp_path, "--seed", "5")
         first = (out / "rounds.csv").read_text().splitlines()[0]
@@ -199,6 +279,21 @@ class TestCliEval:
         assert header == "metric,value"
         assert dict(row.split(",") for row in rows) == {k: f"{v:.2f}" for k, v in final.items()}
         assert run_cli("eval", str(out), "--set", "eval.negatives=-1") == 0
+
+
+    @pytest.mark.parametrize("setting, message", [
+        ("data.items=30", "saved item table has 24 items, the interaction log 30"),
+        ("data.users=40", "saved state has 30 users, the interaction log 40"),
+    ])
+    def test_eval_rejects_a_log_of_another_size(self, tmp_path, capsys, setting, message):
+        out = tmp_path / "run"
+        args = ["train", "--out-dir", str(out)]
+        for s in BASE_SETTINGS:
+            args += ["--set", s]
+        assert run_cli(*args) == 0
+        capsys.readouterr()
+        assert run_cli("eval", str(out), "--set", setting) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCliComm:

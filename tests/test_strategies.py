@@ -353,6 +353,9 @@ class TestFreezeDiscipline:
         base.freeze()
         with pytest.raises(ValueError):
             base.table[0, 0] = 1.0
+        # nor can it be replaced as the warm-up's trainable tensor
+        with pytest.raises(RuntimeError, match="frozen"):
+            base.set_trainable([table + 1])
 
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
