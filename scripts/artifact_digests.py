@@ -1,0 +1,148 @@
+"""Train a fixed matrix of runs and print the sha256 of every artifact.
+
+    python3 scripts/artifact_digests.py --out /tmp/digests-a > a.txt
+    python3 scripts/artifact_digests.py --out /tmp/digests-b --seeds 0 > b.txt
+    diff a.txt b.txt
+
+Runs, each into its own directory under `--out`:
+
+- `fedembed train` on the three benchmark workloads of
+  `perfbench/workloads.py` at every seed in `--seeds`;
+- `fedembed train` on a matrix of small configs (60 users x 120 items,
+  5 rounds, 2 warm-up rounds, no pre-training) that covers each backbone,
+  each strategy, both DP modes, `weighted` aggregation, `local_epochs=0`,
+  and clients without training positives under local DP;
+- `fedembed pretrain` for lora and rqvae, with a tiny pre-training.
+
+Every train run is re-scored with `fedembed eval`, with the run's own
+`eval.negatives` and with `eval.negatives=-1`. The script prints one
+`sha256  <run>/<file>` line per file a command wrote and per `eval` stdout
+(`<run>/eval.stdout`, `<run>/eval-all.stdout`), sorted, and an `exit=<code>`
+line for any command that did not exit 0. Two checkouts give byte-identical
+artifacts when their outputs are equal, so "same results" is one `diff`.
+It imports `fedembed` from this checkout's `src/`, and runs with BLAS and
+OpenMP at one thread, like the benchmark.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))
+
+from fedembed.cli import main  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+SMALL = ("data.users=60", "data.items=120", "federation.rounds=5",
+         "federation.warmup_rounds=2", "pretrain.enabled=false")
+
+SMALL_RUNS = {
+    "fedmf-lora": ("strategy.kind=lora",),
+    "fedmf-full": ("strategy.kind=full",),
+    "fedmf-rqvae": ("strategy.kind=rqvae",),
+    "fedmf-lora-warmup5": ("strategy.kind=lora", "federation.warmup_rounds=5"),
+    "fedncf-hash-senet": ("backbone=fedncf", "strategy.kind=hash", "strategy.senet=true",
+                          "strategy.d_h=256"),
+    "fedncf-full-ldp": ("backbone=fedncf", "strategy.kind=full", "dp.mode=ldp",
+                        "dp.delta=0.01"),
+    "pfedrec-lora": ("backbone=pfedrec", "strategy.kind=lora"),
+    "pfedrec-rqvae-cdp-weighted": ("backbone=pfedrec", "strategy.kind=rqvae",
+                                   "dp.mode=cdp", "dp.delta=0.01",
+                                   "federation.aggregation=weighted"),
+    "pfedrec-hash": ("backbone=pfedrec", "strategy.kind=hash", "strategy.d_h=256"),
+    "fedmf-lora-epochs0": ("strategy.kind=lora", "federation.local_epochs=0"),
+    # some users have no interaction, so some sampled clients take no step
+    "fedmf-lora-ldp-untrained": ("strategy.kind=lora", "data.min_interactions=0",
+                                 "federation.sample_ratio=1", "dp.mode=ldp",
+                                 "dp.delta=0.01"),
+}
+
+TINY_PRETRAIN = ("data.users=60", "data.items=120", "data.feature_dim=16",
+                 "pretrain.hidden=32", "pretrain.steps=50", "pretrain.rq_steps=20",
+                 "strategy.levels=2", "strategy.d_r=32")
+
+PRETRAIN_RUNS = {
+    "pretrain-lora": ("strategy.kind=lora",),
+    "pretrain-rqvae": ("strategy.kind=rqvae",),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """`fedembed <argv>` in this process; (exit code, stdout)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def with_settings(cmd: str, settings, out_dir: Path) -> list[str]:
+    argv = [cmd, "--out-dir", str(out_dir)]
+    for s in settings:
+        argv += ["--set", s]
+    return argv
+
+
+def digest_run(name: str, argv: list[str], out_dir: Path, evaluate: bool) -> list[str]:
+    lines = []
+    code, _ = run(argv)
+    if code:
+        lines.append(f"exit={code}  {name}/{argv[0]}")
+    files = sorted(p for p in out_dir.rglob("*") if p.is_file()) if out_dir.exists() else []
+    for path in files:
+        lines.append(f"{sha256(path.read_bytes())}  {name}/{path.relative_to(out_dir)}")
+    if evaluate and code == 0:
+        for label, extra in (("eval", []), ("eval-all", ["--set", "eval.negatives=-1"])):
+            code, stdout = run(["eval", str(out_dir), *extra])
+            if code:
+                lines.append(f"exit={code}  {name}/{label}")
+            lines.append(f"{sha256(stdout.encode())}  {name}/{label}.stdout")
+    return lines
+
+
+def main_digests() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True,
+                        help="a new or empty directory for the run directories")
+    parser.add_argument("--seeds", default="0,1,2",
+                        help="comma-separated workload seeds; empty skips the workloads")
+    args = parser.parse_args()
+    out = Path(args.out)
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"--out {out} must be a new or empty directory")
+    out.mkdir(parents=True, exist_ok=True)
+
+    jobs = []   # (name, argv, evaluate)
+    for seed in [int(s) for s in args.seeds.split(",") if s.strip()]:
+        for wl in WORKLOADS.values():
+            name = f"{wl.name}-seed{seed}"
+            jobs.append((name, with_settings("train", wl.overrides(seed), out / name), True))
+    for name, settings in SMALL_RUNS.items():
+        jobs.append((name, with_settings("train", SMALL + settings, out / name), True))
+    for name, settings in PRETRAIN_RUNS.items():
+        jobs.append((name, with_settings("pretrain", TINY_PRETRAIN + settings, out / name),
+                     False))
+
+    lines = []
+    for name, argv, evaluate in jobs:
+        print(f"running {name}", file=sys.stderr)
+        lines += digest_run(name, argv, out / name, evaluate)
+    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_digests())

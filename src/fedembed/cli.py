@@ -18,10 +18,11 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, apply_setting, load_config
 from .data import save_id_maps
-from .federation import Simulation, load_sim_state, metrics_csv, rounds_csv, save_sim_state
+from .federation import (Simulation, initial_items, load_log, load_sim_state, metrics_csv,
+                         rounds_csv, save_sim_state)
 from .pretrain import write_codes
-from .strategies import (comm_cost, make_adapter, representation_capacity,
-                         save_checkpoint, serialize_upload)
+from .strategies import (FullEmbeddingTable, comm_cost, make_adapter,
+                         representation_capacity, save_checkpoint, serialize_upload)
 from .rng import RngStream
 
 
@@ -92,14 +93,15 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
         raise ConfigError("pretrain.enabled: pretrain subcommand requires true")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sim = Simulation(cfg)   # construction runs the pre-training
-    save_checkpoint(out / "embedding.fpeb", sim.base, sim.adapter)
-    save_id_maps(sim.log, out)
-    if sim.codes is not None:
-        write_codes(out / "codes.tsv", sim.codes)
-    print(f"pretrained table {sim.base.table.shape} -> {out / 'embedding.fpeb'}")
-    if sim.codes is not None:
-        print(f"semantic codes {sim.codes.shape} -> {out / 'codes.tsv'}")
+    log = load_log(cfg)
+    table, codes = initial_items(cfg, log, RngStream(cfg.seed))
+    base = FullEmbeddingTable(table)
+    save_checkpoint(out / "embedding.fpeb", base, base)
+    save_id_maps(log, out)
+    print(f"pretrained table {table.shape} -> {out / 'embedding.fpeb'}")
+    if codes is not None:
+        write_codes(out / "codes.tsv", codes)
+        print(f"semantic codes {codes.shape} -> {out / 'codes.tsv'}")
     return 0
 
 
@@ -172,11 +174,13 @@ def cmd_comm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _strategy_bytes(cfg: ExperimentConfig, n_items: int) -> int:
-    s = cfg.strategy
-    return comm_cost(s.kind, n_items, cfg.k, rank=s.rank, d_h=s.d_h,
+def _strategy_bytes(sim: Simulation) -> int:
+    """Per-client upload after the warm-up: the strategy's closed form plus
+    the shared MLP."""
+    cfg, s = sim.config, sim.config.strategy
+    return comm_cost(s.kind, sim.log.n_items, cfg.k, rank=s.rank, d_h=s.d_h,
                      n_hashes=s.n_hashes, senet=s.senet, expansion=s.expansion,
-                     levels=s.levels, d_r=s.d_r)
+                     levels=s.levels, d_r=s.d_r) + sim.backbone.upload_bytes()
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -192,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result = sim.run()
         if not header_metrics:
             header_metrics = list(result.final_metrics)
-        rows.append((value, result.final_metrics, _strategy_bytes(cfg, sim.log.n_items)))
+        rows.append((value, result.final_metrics, _strategy_bytes(sim)))
     lines = [f"# sweep {args.param} config={base_cfg.config_hash()} seed={base_cfg.seed}",
              f"{args.param}," + ",".join(header_metrics) + ",upload_bytes,upload_kb"]
     for value, m, upload in rows:

@@ -8,7 +8,9 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .privacy import DpConfig
+from .backbones import BACKBONE_KINDS
+from .privacy import DP_MODES, DpConfig
+from .strategies import STRATEGY_KINDS
 
 # Values outside these grids are rejected unless the config is marked unsafe.
 GRIDS = {
@@ -101,9 +103,9 @@ class ExperimentConfig:
     pretrain: PretrainSection = field(default_factory=PretrainSection)
 
     def validate(self) -> None:
-        if self.backbone not in ("fedmf", "fedncf", "pfedrec"):
+        if self.backbone not in BACKBONE_KINDS:
             raise ConfigError(f"backbone: unknown value {self.backbone!r}")
-        if self.strategy.kind not in ("full", "lora", "hash", "rqvae"):
+        if self.strategy.kind not in STRATEGY_KINDS:
             raise ConfigError(f"strategy.kind: unknown value {self.strategy.kind!r}")
         if self.strategy.init not in ("zero", "base_distribution"):
             raise ConfigError(f"strategy.init: unknown value {self.strategy.init!r}")
@@ -115,7 +117,7 @@ class ExperimentConfig:
         if self.federation.aggregation not in ("mean", "weighted"):
             raise ConfigError(f"federation.aggregation: unknown value "
                               f"{self.federation.aggregation!r}")
-        if self.dp.mode not in ("none", "ldp", "cdp"):
+        if self.dp.mode not in DP_MODES:
             raise ConfigError(f"dp.mode: unknown value {self.dp.mode!r}")
         if self.dp.clip is not None and not self.dp.clip > 0:
             raise ConfigError(f"dp.clip: must be > 0, got {self.dp.clip}")

@@ -26,7 +26,6 @@ class InteractionLog:
     n_items: int
     user_ids: list[str]    # dense id -> original id
     item_ids: list[str]
-    _by_user: list[np.ndarray] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.users)
@@ -34,14 +33,6 @@ class InteractionLog:
     @property
     def sparsity(self) -> float:
         return 1.0 - len(self) / (self.n_users * self.n_items)
-
-    def interactions_of(self, user: int) -> np.ndarray:
-        """Indices into the log arrays for one user, ordered as stored."""
-        if self._by_user is None:
-            order = np.argsort(self.users, kind="stable")
-            bounds = np.searchsorted(self.users[order], np.arange(self.n_users + 1))
-            self._by_user = [order[bounds[u]:bounds[u + 1]] for u in range(self.n_users)]
-        return self._by_user[user]
 
 
 class FormatError(ValueError):
@@ -111,8 +102,6 @@ def load_interactions(path: str | Path, fmt: str) -> InteractionLog:
 class EvalSplit:
     """Per-user leave-one-out split with fixed evaluation candidates."""
 
-    train_users: np.ndarray
-    train_items: np.ndarray
     test_users: np.ndarray          # users with >= 2 interactions
     test_items: np.ndarray          # their held-out (latest) item
     train_positives: list[np.ndarray]   # per user, sorted training items
@@ -128,34 +117,23 @@ def leave_one_out_split(log: InteractionLog) -> EvalSplit:
     Users with a single interaction keep it in training and are excluded
     from the test set. Timestamp ties break toward the larger item id.
     """
-    train_u, train_i, test_u, test_i = [], [], [], []
+    # one sort groups the log by user, each user's interactions by (timestamp, item)
+    order = np.lexsort((log.items, log.timestamps, log.users))
+    items = log.items[order]
+    bounds = np.searchsorted(log.users[order], np.arange(log.n_users + 1))
+    test_u, test_i = [], []
     train_pos: list[np.ndarray] = []
     all_pos: list[np.ndarray] = []
     for u in range(log.n_users):
-        idx = log.interactions_of(u)
-        items = log.items[idx]
-        if len(idx) == 0:
-            train_pos.append(np.empty(0, dtype=np.int64))
-            all_pos.append(np.empty(0, dtype=np.int64))
-            continue
-        if len(idx) == 1:
-            train_u.append(u)
-            train_i.append(int(items[0]))
-            train_pos.append(np.sort(items))
-            all_pos.append(np.sort(items))
-            continue
-        order = np.lexsort((items, log.timestamps[idx]))
-        held = int(items[order[-1]])
-        kept = items[order[:-1]]
-        test_u.append(u)
-        test_i.append(held)
-        train_u.extend([u] * len(kept))
-        train_i.extend(int(i) for i in kept)
+        mine = items[bounds[u]:bounds[u + 1]]
+        kept = mine
+        if len(mine) >= 2:
+            test_u.append(u)
+            test_i.append(int(mine[-1]))
+            kept = mine[:-1]
         train_pos.append(np.sort(kept))
-        all_pos.append(np.sort(items))
+        all_pos.append(np.sort(mine))
     return EvalSplit(
-        train_users=np.array(train_u, dtype=np.int64),
-        train_items=np.array(train_i, dtype=np.int64),
         test_users=np.array(test_u, dtype=np.int64),
         test_items=np.array(test_i, dtype=np.int64),
         train_positives=train_pos,

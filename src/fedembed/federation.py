@@ -11,11 +11,14 @@ of all its local epochs, drawn when it starts. Item-indexed tensors go up as
 `RowUpload`s of those rows; every other tensor goes up whole. The server
 folds the uploads into one float64 running sum per tensor, so it never
 holds one dense table per client unless local DP densified them. Each client
-is still charged the paper's dense payload.
+is still charged the paper's dense payload. Every sampled client takes the
+same path, so one with no training positives or no local epoch uploads an
+empty row set that is clipped and noised like any other.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
@@ -85,8 +88,7 @@ class ClientUpdate:
     client: int
     tensors: list[Upload]           # the adapter's trainable tensors, then the shared MLP's
     state: UserState
-    loss: float
-    trained: bool
+    loss: float                     # nan when the client took no step
 
 
 def select_clients(n_users: int, ratio: float, streams: RngStream,
@@ -180,6 +182,43 @@ class SavedState:
     users: UserTable
 
 
+def load_log(config: ExperimentConfig) -> InteractionLog:
+    """The interaction log the config names: synthesized, or read from file."""
+    d = config.data
+    if d.source == "synthetic":
+        return synthesize_interactions(
+            d.users, d.items, config.seed,
+            n_user_clusters=d.user_clusters, n_item_clusters=d.item_clusters,
+            interactions_range=(d.min_interactions, d.max_interactions),
+            affinity=d.affinity)
+    return load_interactions(d.path, d.source)
+
+
+def initial_items(config: ExperimentConfig, log: InteractionLog, streams: RngStream
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The initial item table and, for rqvae, the semantic codes (else None):
+    pre-trained when `pretrain.enabled`, drawn at random otherwise. Given
+    `RngStream(config.seed)`, a pure function of the config and the log."""
+    n, k, s = log.n_items, config.k, config.strategy
+    codes = None
+    if not config.pretrain.enabled:
+        table = init_uniform(streams.generator("init_embeddings"), (n, k))
+        if s.kind == "rqvae":
+            codes = streams.generator("random_codes").integers(0, s.d_r, size=(n, s.levels))
+        return table, codes
+    d, p = config.data, config.pretrain
+    features = build_item_features(log, d.feature_source, path=d.feature_path or None,
+                                   k_p=d.feature_dim, seed=config.seed)
+    pcfg = PretrainConfig(hidden=p.hidden, latent_dim=k, steps=p.steps, lr=p.lr,
+                          batch_size=p.batch_size, levels=s.levels, codebook_size=s.d_r,
+                          beta=p.beta)
+    table, _ = train_autoencoder(features.vectors, pcfg, streams.child("pretrain_ae"))
+    if s.kind == "rqvae":
+        codes, _ = train_rqvae(features.vectors, dataclasses.replace(pcfg, steps=p.rq_steps),
+                               streams.child("pretrain_rq"))
+    return table, codes
+
+
 class Simulation:
     """One experiment: data, pre-training, model state, and the round loop.
 
@@ -188,8 +227,7 @@ class Simulation:
     evaluation candidates are rebuilt from the config as usual.
     """
 
-    def __init__(self, config: ExperimentConfig, log: InteractionLog | None = None,
-                 saved: SavedState | None = None):
+    def __init__(self, config: ExperimentConfig, saved: SavedState | None = None):
         config.validate()
         self.config = config
         self.streams = RngStream(config.seed)
@@ -197,7 +235,7 @@ class Simulation:
         self.reports: list[RoundReport] = []
         self.metric_history: list[tuple[int, dict[str, float]]] = []
 
-        self.log = log if log is not None else self._load_log()
+        self.log = load_log(config)
         self.split: EvalSplit = leave_one_out_split(self.log)
         attach_eval_negatives(self.split, config.eval.negatives, self.streams.child("eval"))
 
@@ -210,34 +248,12 @@ class Simulation:
             self._restore(saved)
             return
 
-        n, k = self.log.n_items, config.k
-        self.codes = None
-        if config.pretrain.enabled:
-            features = self._features()
-            pcfg = PretrainConfig(hidden=config.pretrain.hidden, latent_dim=k,
-                                  steps=config.pretrain.steps, lr=config.pretrain.lr,
-                                  batch_size=config.pretrain.batch_size,
-                                  levels=config.strategy.levels,
-                                  codebook_size=config.strategy.d_r,
-                                  beta=config.pretrain.beta)
-            table, _ = train_autoencoder(features.vectors, pcfg,
-                                         self.streams.child("pretrain_ae"))
-            if config.strategy.kind == "rqvae":
-                rq_cfg = PretrainConfig(**{**pcfg.__dict__, "steps": config.pretrain.rq_steps})
-                self.codes, _ = train_rqvae(features.vectors, rq_cfg,
-                                            self.streams.child("pretrain_rq"))
-        else:
-            table = init_uniform(self.streams.generator("init_embeddings"), (n, k))
-            if config.strategy.kind == "rqvae":
-                code_rng = self.streams.generator("random_codes")
-                self.codes = code_rng.integers(0, config.strategy.d_r,
-                                               size=(n, config.strategy.levels))
-
+        table, self.codes = initial_items(config, self.log, self.streams)
         # the warm-up trains the base table itself: adapter and base are one object
         self.base = FullEmbeddingTable(table)
         self.adapter: Adapter = self.base
         self.user_states = UserTable.stack([
-            make_user_state(config.backbone, k, u, self.streams, scale=config.user_scale)
+            make_user_state(config.backbone, config.k, u, self.streams, scale=config.user_scale)
             for u in range(self.log.n_users)])
 
     def _restore(self, saved: SavedState) -> None:
@@ -251,21 +267,6 @@ class Simulation:
         self.codes = getattr(saved.adapter, "codes", None)
         _install_backbone(self.backbone, saved.backbone)
         self.user_states = saved.users
-
-    def _load_log(self) -> InteractionLog:
-        d = self.config.data
-        if d.source == "synthetic":
-            return synthesize_interactions(
-                d.users, d.items, self.config.seed,
-                n_user_clusters=d.user_clusters, n_item_clusters=d.item_clusters,
-                interactions_range=(d.min_interactions, d.max_interactions),
-                affinity=d.affinity)
-        return load_interactions(d.path, d.source)
-
-    def _features(self):
-        d = self.config.data
-        return build_item_features(self.log, d.feature_source, path=d.feature_path or None,
-                                   k_p=d.feature_dim, seed=self.config.seed)
 
     @property
     def phase(self) -> str:
@@ -298,12 +299,6 @@ class Simulation:
         snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
         item_indexed = self.adapter.item_indexed
 
-        if len(positives) == 0 or cfg.local_epochs == 0:
-            none = np.empty(0, dtype=np.int64)
-            tensors = [RowUpload(none, t[none]) if i in item_indexed else t
-                       for i, t in enumerate(snapshot)]
-            return ClientUpdate(u, tensors, state, float("nan"), trained=False)
-
         epochs = []
         for epoch in range(cfg.local_epochs):
             neg_rng = self.streams.generator("train_neg", u, round_idx, epoch)
@@ -314,8 +309,9 @@ class Simulation:
                                      np.zeros(len(negs), dtype=np.float32)])
             perm = self.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
             epochs.append((items[perm], labels[perm]))
-        # the client holds only these rows and trains on local ids into them
-        rows = np.unique(np.concatenate([items for items, _ in epochs]))
+        # the client holds only these rows and trains on local ids into them;
+        # a client with no positives or no epoch holds none and takes no step
+        rows = np.unique(np.concatenate([np.empty(0, np.int64), *(i for i, _ in epochs)]))
         adapter = self.adapter.copy(rows)
         base = self.base.table[rows]
         backbone = self.backbone.copy()
@@ -339,7 +335,8 @@ class Simulation:
         if dp.mode == "ldp":
             tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
                                 dp, self.streams.generator("dp", u, round_idx))
-        return ClientUpdate(u, tensors, state, float(np.mean(losses)), trained=True)
+        return ClientUpdate(u, tensors, state,
+                            float(np.mean(losses)) if losses else float("nan"))
 
     def run_round(self) -> RoundReport:
         cfg = self.config.federation
@@ -371,7 +368,7 @@ class Simulation:
             self.user_states[up.client] = up.state
 
         self.round += 1
-        trained_losses = [up.loss for up in updates if up.trained]
+        trained_losses = [up.loss for up in updates if not math.isnan(up.loss)]
         report = RoundReport(
             round=round_idx,
             phase=phase,
@@ -401,6 +398,8 @@ class Simulation:
         cfg = self.config
         every = max(cfg.eval.every, 1)
         ckpt_every = cfg.federation.checkpoint_every
+        if checkpoint_dir is not None and ckpt_every > 0:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
         m = self.evaluate()
         self.metric_history.append((0, m))
         for _ in range(cfg.federation.rounds):

@@ -1,5 +1,6 @@
 """Minimal dense numeric kernels: small MLPs with hand-derived gradients,
-plain SGD, and Lloyd's k-means.
+plain SGD, and Lloyd's k-means, whose nearest-row search the residual
+quantizer reuses.
 
 Matrices are plain row-major numpy arrays; trainable parameters default to
 float32. Tests that verify gradients against finite differences build models
@@ -224,18 +225,19 @@ def kmeans(points: np.ndarray, k: int, iters: int = 10,
         centroids = points[np.sort(idx)].copy()
 
     for _ in range(iters):
-        assignments = _nearest(points, centroids)
+        assignments = nearest_rows(points, centroids)
         for j in range(k):
             sel = assignments == j
             if sel.any():
                 centroids[j] = points[sel].mean(axis=0)
-    assignments = _nearest(points, centroids)
+    assignments = nearest_rows(points, centroids)
     return centroids, assignments
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # argmin returns the first (lowest-index) minimiser, which is the tie rule.
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+def nearest_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each point, the index of the row at the least squared distance;
+    ties go to the lowest index (argmin returns the first minimiser)."""
+    d2 = ((points[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
 
 

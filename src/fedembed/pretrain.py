@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Mlp, kmeans, mlp_backward, mlp_forward, sgd_step
+from .numerics import Mlp, kmeans, mlp_backward, mlp_forward, nearest_rows, sgd_step
 from .rng import RngStream
 
 
@@ -110,8 +110,7 @@ def rq_encode(z: np.ndarray, codebooks: np.ndarray
     z_hat = np.zeros_like(z)
     r = z
     for j in range(levels):
-        d2 = ((r[:, None, :] - codebooks[j][None, :, :]) ** 2).sum(axis=2)
-        c = d2.argmin(axis=1)
+        c = nearest_rows(r, codebooks[j])
         codes[:, j] = c
         rows = codebooks[j][c]
         z_hat = z_hat + rows
@@ -138,8 +137,7 @@ def init_codebooks_kmeans(z_batch: np.ndarray, levels: int, codebook_size: int,
         for t in np.flatnonzero(~used):
             centroids[t] = r[rng.integers(0, len(r))]
         books[j] = centroids.astype(z_batch.dtype)
-        d2 = ((r[:, None, :] - books[j][None, :, :]) ** 2).sum(axis=2)
-        r = r - books[j][d2.argmin(axis=1)]
+        r = r - books[j][nearest_rows(r, books[j])]
     return books
 
 

@@ -195,8 +195,7 @@ class HashAdapter:
         return self.table.shape[0]
 
     def indices(self, items: np.ndarray) -> np.ndarray:
-        return ((self.hash_a[None, :] * items[:, None] + self.hash_b[None, :])
-                % self.p) % self.d_h
+        return hash_index(items[:, None], self.hash_a, self.hash_b, self.p, self.d_h)
 
     def distinct_index_tuples(self, n_items: int) -> int:
         """How many distinct (idx_1, ..., idx_h) the hash functions actually

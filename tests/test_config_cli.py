@@ -1,6 +1,7 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from fedembed import federation
 from fedembed.cli import main
 from fedembed.config import GRIDS, ConfigError, ExperimentConfig, apply_setting, load_config
+from fedembed.federation import Simulation
+from fedembed.pretrain import read_codes
+from fedembed.strategies import load_checkpoint
 
 
 BASE_SETTINGS = [
@@ -227,6 +231,12 @@ class TestCliTrain:
         assert f"config error: {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_round_checkpoints_into_a_fresh_directory(self, tmp_path, capsys):
+        out = self._train(tmp_path, "--rounds", "4",
+                          "--set", "federation.checkpoint_every=2")
+        assert (out / "round_000002.fpeb").exists()
+        assert (out / "round_000004.fpeb").exists()
+
     def test_artifacts_embed_config_hash_and_seed(self, tmp_path, capsys):
         out = self._train(tmp_path, "--seed", "5")
         first = (out / "rounds.csv").read_text().splitlines()[0]
@@ -320,6 +330,39 @@ class TestCliComm:
         assert "strategy.d_h" in err
 
 
+PRETRAIN_SETTINGS = BASE_SETTINGS + [
+    "pretrain.enabled=true", "data.feature_dim=8", "pretrain.hidden=16",
+    "pretrain.steps=20", "pretrain.rq_steps=10", "strategy.levels=2", "strategy.d_r=8",
+]
+
+
+class TestCliPretrain:
+    @pytest.mark.parametrize("kind", ["lora", "rqvae"])
+    def test_writes_the_table_and_codes_a_run_starts_from(self, tmp_path, capsys,
+                                                         monkeypatch, kind):
+        settings = PRETRAIN_SETTINGS + [f"strategy.kind={kind}"]
+        sim = Simulation(load_config(None, settings))
+        out = tmp_path / "pre"
+        args = ["pretrain", "--out-dir", str(out)]
+        for s in settings:
+            args += ["--set", s]
+        assert run_cli(*args) == 0
+        base, adapter = load_checkpoint(out / "embedding.fpeb")
+        assert adapter is base and base.kind == "full"
+        assert base.table.tobytes() == sim.base.table.tobytes()
+        if kind == "rqvae":
+            assert np.array_equal(read_codes(out / "codes.tsv"), sim.codes)
+        else:
+            assert not (out / "codes.tsv").exists()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pretrain builds no split and no per-user state")
+
+        for name in ("make_user_state", "attach_eval_negatives"):
+            monkeypatch.setattr(federation, name, refuse)
+        assert run_cli(*args) == 0
+
+
 class TestCliSweep:
     def test_rank_sweep_comm_strictly_increasing(self, tmp_path, capsys):
         csv = tmp_path / "sweep.csv"
@@ -332,6 +375,25 @@ class TestCliSweep:
         uploads = [float(ln.split(",")[-2]) for ln in lines]
         assert uploads == sorted(uploads)
         assert len(set(uploads)) == len(uploads)
+
+    def test_upload_column_includes_the_shared_mlp(self, tmp_path, capsys):
+        # the column once left out FedNCF's MLP: 1,216 bytes against 67,780 charged
+        settings = BASE_SETTINGS + ["backbone=fedncf", "data.users=60", "data.items=120",
+                                    "data.item_clusters=8"]
+        csv = tmp_path / "sweep.csv"
+        args = ["sweep", "--param", "strategy.rank", "--values", "2",
+                "--csv-out", str(csv)]
+        run = ["train", "--out-dir", str(tmp_path / "run")]
+        for s in settings:
+            args += ["--set", s]
+            run += ["--set", s]
+        assert run_cli(*args) == 0
+        assert run_cli(*run) == 0
+        column = int(csv.read_text().splitlines()[2].split(",")[-2])
+        rows = (tmp_path / "run" / "rounds.csv").read_text().splitlines()[2:]
+        charged = {int(r.split(",")[3]) for r in rows if r.split(",")[1] == "peft"}
+        assert charged == {column}
+        assert column > 60_000
 
 
 class TestExitCodes:

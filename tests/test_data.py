@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedembed.data import (FormatError, attach_eval_negatives, build_item_features,
-                           choice_excluding, leave_one_out_split, load_interactions,
-                           sample_negatives, save_id_maps, synthesize_interactions)
+from fedembed.data import (FormatError, InteractionLog, attach_eval_negatives,
+                           build_item_features, choice_excluding, leave_one_out_split,
+                           load_interactions, sample_negatives, save_id_maps,
+                           synthesize_interactions)
 from fedembed.rng import RngStream
 
 ML1M_RATINGS = os.environ.get("ML1M_RATINGS", "data/ml-1m/ratings.dat")
@@ -85,8 +86,7 @@ class TestSplit:
         log = self._log(tmp_path)
         split = leave_one_out_split(log)
         assert 1 not in set(split.test_users.tolist())
-        mask = split.train_users == 1
-        assert mask.sum() == 1
+        assert [log.item_ids[i] for i in split.train_positives[1]] == ["10"]
 
     def test_test_count_equals_users_with_two_plus_interactions(self, tmp_path):
         # oracle: count from the raw structure
@@ -105,6 +105,25 @@ class TestSplit:
             negs = split.negatives[u]
             assert not np.intersect1d(negs, split.all_positives[u]).size
             assert len(negs) == len(set(negs.tolist()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7), st.integers(0, 3)),
+                    max_size=40, unique_by=lambda r: r[:2]))
+    def test_latest_held_out_in_any_log_order_ties_to_the_larger_item(self, rows):
+        # rows: (user, item, timestamp) in log order, timestamps often tied
+        users, items, stamps = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+        log = InteractionLog(users, items, np.ones(len(rows), dtype=np.float32), stamps,
+                             6, 8, [str(u) for u in range(6)], [str(i) for i in range(8)])
+        split = leave_one_out_split(log)
+        test = dict(zip(split.test_users.tolist(), split.test_items.tolist()))
+        for u in range(6):
+            mine = sorted((t, i) for user, i, t in rows if user == u)
+            held = mine.pop()[1] if len(mine) >= 2 else None
+            assert test.get(u) == held
+            assert split.train_positives[u].tolist() == sorted(i for _, i in mine)
+            assert split.all_positives[u].tolist() == sorted(
+                i for user, i, _ in rows if user == u)
+        assert split.test_users.tolist() == sorted(test)
 
     def test_split_deterministic(self):
         log = synthesize_interactions(30, 20, seed=5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedembed import privacy
 from fedembed.backbones import local_step
 from fedembed.config import ExperimentConfig
 from fedembed.data import choice_excluding
@@ -198,7 +199,7 @@ class TestClientRound:
         want, want_state, want_loss = dense_reference_client(sim, u, sim.round)
         assert len(up.tensors) == len(snapshot)
         got = [densify(t, s) for t, s in zip(up.tensors, snapshot)]
-        assert up.trained and up.loss == want_loss
+        assert np.isfinite(up.loss) and up.loss == want_loss
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
         assert [t.tobytes() for t in state_tensors(up.state)] == \
             [t.tobytes() for t in state_tensors(want_state)]
@@ -209,7 +210,7 @@ class TestClientRound:
     def test_zero_local_epochs_returns_snapshot_bits(self):
         sim = Simulation(small_config(**{"federation.local_epochs": 0}))
         up = sim._client_round(3, 0)
-        assert not up.trained
+        assert np.isnan(up.loss)
         for got, snap in zip(up.tensors, sim.adapter.trainable()):
             assert len(got.rows) == 0
             assert densify(got, snap).tobytes() == snap.tobytes()
@@ -388,6 +389,32 @@ class TestDp:
             sim.run_round()
         assert max(norms) <= clip * (1 + 1e-6)
         assert max(norms) > 0.99 * clip        # some update was clipped
+
+    @pytest.mark.parametrize("setting", [{"data.min_interactions": 0},
+                                         {"federation.local_epochs": 0}],
+                             ids=["no-positives", "no-epochs"])
+    def test_ldp_noises_every_sampled_client(self, monkeypatch, setting):
+        # clients without training positives, or without a local epoch, take
+        # no step, and their upload is noised like everyone else's
+        drawn = []
+        original = privacy.laplace_noise
+
+        def counted(shape, *args, **kwargs):
+            drawn.append(int(np.prod(shape)))
+            return original(shape, *args, **kwargs)
+
+        monkeypatch.setattr(privacy, "laplace_noise", counted)
+        cfg = small_config(**{"backbone": "fedncf", "federation.sample_ratio": 1.0,
+                              "dp.mode": "ldp", "dp.delta": 0.01, **setting})
+        sim = Simulation(cfg)
+        untrained = [u for u in range(sim.log.n_users)
+                     if len(sim.split.train_positives[u]) == 0
+                     or cfg.federation.local_epochs == 0]
+        assert untrained
+        for _ in range(cfg.federation.rounds):    # warm-up and adapter rounds
+            drawn.clear()
+            report = sim.run_round()
+            assert sum(drawn) == len(report.clients) * report.bytes_per_client // 4
 
 
 class TestFailure:
