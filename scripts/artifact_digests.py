@@ -1,7 +1,7 @@
 """Train a fixed matrix of runs and print the sha256 of every artifact.
 
     python3 scripts/artifact_digests.py --out /tmp/digests-a > a.txt
-    python3 scripts/artifact_digests.py --out /tmp/digests-b --seeds 0 > b.txt
+    python3 scripts/artifact_digests.py --out /tmp/digests-b --seeds 0 1 2 > b.txt
     diff a.txt b.txt
 
 Runs, each into its own directory under `--out`:
@@ -12,7 +12,11 @@ Runs, each into its own directory under `--out`:
   5 rounds, 2 warm-up rounds, no pre-training) that covers each backbone,
   each strategy, both DP modes, `weighted` aggregation, `local_epochs=0`,
   and clients without training positives under local DP;
-- `fedembed pretrain` for lora and rqvae, with a tiny pre-training.
+- `fedembed pretrain` for lora and rqvae, with a tiny pre-training;
+- `fedembed comm` with the default settings and with `strategy.p=4093`,
+  `strategy.senet=true`, and a FedNCF `fedembed sweep` over `strategy.rank`
+  on the small config; these write no file, so their stdout is digested
+  (`<run>/stdout`).
 
 Every train run is re-scored with `fedembed eval`, with the run's own
 `eval.negatives` and with `eval.negatives=-1`. The script prints one
@@ -76,6 +80,14 @@ PRETRAIN_RUNS = {
     "pretrain-rqvae": ("strategy.kind=rqvae",),
 }
 
+# commands that print their result and write no file: name -> (command, settings, flags)
+STDOUT_RUNS = {
+    "comm-default": ("comm", (), ()),
+    "comm-p4093-senet": ("comm", ("strategy.p=4093", "strategy.senet=true"), ()),
+    "sweep-fedncf-rank": ("sweep", SMALL + ("backbone=fedncf",),
+                          ("--param", "strategy.rank", "--values", "2,3,4,5,6")),
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -96,11 +108,14 @@ def with_settings(cmd: str, settings, out_dir: Path) -> list[str]:
     return argv
 
 
-def digest_run(name: str, argv: list[str], out_dir: Path, evaluate: bool) -> list[str]:
+def digest_run(name: str, argv: list[str], out_dir: Path, evaluate: bool,
+               keep_stdout: bool = False) -> list[str]:
     lines = []
-    code, _ = run(argv)
+    code, stdout = run(argv)
     if code:
         lines.append(f"exit={code}  {name}/{argv[0]}")
+    if keep_stdout:
+        lines.append(f"{sha256(stdout.encode())}  {name}/stdout")
     files = sorted(p for p in out_dir.rglob("*") if p.is_file()) if out_dir.exists() else []
     for path in files:
         lines.append(f"{sha256(path.read_bytes())}  {name}/{path.relative_to(out_dir)}")
@@ -117,29 +132,35 @@ def main_digests() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True,
                         help="a new or empty directory for the run directories")
-    parser.add_argument("--seeds", default="0,1,2",
-                        help="comma-separated workload seeds; empty skips the workloads")
+    parser.add_argument("--seeds", nargs="*", default=["0,1,2"],
+                        help="workload seeds, space- or comma-separated; none skips "
+                             "the workloads")
     args = parser.parse_args()
     out = Path(args.out)
     if out.exists() and any(out.iterdir()):
         parser.error(f"--out {out} must be a new or empty directory")
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = []   # (name, argv, evaluate)
-    for seed in [int(s) for s in args.seeds.split(",") if s.strip()]:
+    jobs = []   # (name, argv, evaluate, keep_stdout)
+    seeds = [int(s) for arg in args.seeds for s in arg.split(",") if s.strip()]
+    for seed in seeds:
         for wl in WORKLOADS.values():
             name = f"{wl.name}-seed{seed}"
-            jobs.append((name, with_settings("train", wl.overrides(seed), out / name), True))
+            jobs.append((name, with_settings("train", wl.overrides(seed), out / name),
+                         True, False))
     for name, settings in SMALL_RUNS.items():
-        jobs.append((name, with_settings("train", SMALL + settings, out / name), True))
+        jobs.append((name, with_settings("train", SMALL + settings, out / name), True, False))
     for name, settings in PRETRAIN_RUNS.items():
         jobs.append((name, with_settings("pretrain", TINY_PRETRAIN + settings, out / name),
-                     False))
+                     False, False))
+    for name, (cmd, settings, flags) in STDOUT_RUNS.items():
+        jobs.append((name, with_settings(cmd, settings, out / name) + list(flags),
+                     False, True))
 
     lines = []
-    for name, argv, evaluate in jobs:
+    for name, argv, evaluate, keep_stdout in jobs:
         print(f"running {name}", file=sys.stderr)
-        lines += digest_run(name, argv, out / name, evaluate)
+        lines += digest_run(name, argv, out / name, evaluate, keep_stdout)
     print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
     return 0
 

@@ -12,16 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Mlp, init_uniform, mlp_backward, mlp_forward, sgd_step
+from .numerics import Mlp, init_uniform, mlp_backward, mlp_forward, relu_layers, sgd_step
 from .rng import RngStream
 
 BACKBONE_KINDS = ("fedmf", "fedncf", "pfedrec")
 PFEDREC_DROPOUT = 0.5
-
-
-def _activations(n_layers: int) -> list[str]:
-    """ReLU between layers, identity on the output logit."""
-    return ["relu"] * (n_layers - 1) + ["identity"]
 
 
 @dataclass
@@ -64,7 +59,7 @@ class UserTable:
         if self.embedding is not None:
             return UserState(embedding=self.embedding[u])
         return UserState(mlp=Mlp([w[u] for w in self.weights], [b[u] for b in self.biases],
-                                 _activations(len(self.weights)), self.dropout))
+                                 relu_layers(len(self.weights)), self.dropout))
 
     def __setitem__(self, u: int, state: UserState) -> None:
         if self.embedding is not None:
@@ -96,7 +91,7 @@ def make_backbone(kind: str, k: int, streams: RngStream,
     if kind != "fedncf":
         return Backbone(kind)
     sizes = [2 * k, *ncf_hidden, 1]
-    mlp = Mlp.create(sizes, _activations(len(sizes) - 1), streams.generator("init_ncf"),
+    mlp = Mlp.create(sizes, relu_layers(len(sizes) - 1), streams.generator("init_ncf"),
                      dropout=dropout, dtype=dtype)
     return Backbone(kind, mlp)
 
@@ -111,7 +106,7 @@ def make_user_state(kind: str, k: int, user: int, streams: RngStream,
         return UserState(embedding=emb)
     if kind == "pfedrec":
         sizes = [k, *pfedrec_hidden, 1]
-        mlp = Mlp.create(sizes, _activations(len(sizes) - 1),
+        mlp = Mlp.create(sizes, relu_layers(len(sizes) - 1),
                          streams.generator("init_user", user), dropout=dropout, dtype=dtype)
         return UserState(mlp=mlp)
     raise ValueError(f"unknown backbone {kind!r}")

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from .data import save_id_maps
 from .federation import (Simulation, initial_items, load_log, load_sim_state, metrics_csv,
                          rounds_csv, save_sim_state)
 from .pretrain import write_codes
-from .strategies import (FullEmbeddingTable, comm_cost, make_adapter,
+from .strategies import (FullEmbeddingTable, StrategyConfig, comm_cost, make_adapter,
                          representation_capacity, save_checkpoint, serialize_upload)
 from .rng import RngStream
 
@@ -126,35 +127,25 @@ def _comm_rows(n: int, k: int, cfg: ExperimentConfig, ranks: list[int]) -> list[
     streams = RngStream(cfg.seed)
     rows = []
 
-    def add(kind: str, label: str, predicted: int, capacity: int, **kwargs) -> None:
-        codes = np.zeros((n, kwargs.get("levels", s.levels)), dtype=np.int64) \
-            if kind == "rqvae" else None
-        adapter = make_adapter(kind, n, k, streams.child("comm", len(rows)),
-                               codes=codes, **kwargs)
-        actual = len(serialize_upload(adapter))
+    def add(label: str, c: StrategyConfig) -> None:
+        settings = asdict(c)
+        codes = np.zeros((n, c.levels), dtype=np.int64) if c.kind == "rqvae" else None
+        adapter = make_adapter(n_items=n, k=k, streams=streams.child("comm", len(rows)),
+                               codes=codes, **settings)
+        predicted, actual = comm_cost(n_items=n, k=k, **settings), len(serialize_upload(adapter))
         if actual != predicted:
-            raise RuntimeError(f"cost model mismatch for {kind}: {predicted} != {actual}")
+            raise RuntimeError(f"cost model mismatch for {c.kind}: {predicted} != {actual}")
         rows.append({"strategy": label, "upload_bytes": predicted,
-                     "upload_kb": predicted / 1000.0, "representation": capacity,
-                     "distinct": adapter.distinct_index_tuples(n) if kind == "hash" else ""})
+                     "upload_kb": predicted / 1000.0,
+                     "representation": representation_capacity(n_items=n, **settings),
+                     "distinct": adapter.distinct_index_tuples(n) if c.kind == "hash" else ""})
 
-    add("full", "full", comm_cost("full", n, k), representation_capacity("full", n))
+    add("full", replace(s, kind="full"))
     for r in ranks:
-        add("lora", f"lora[rank={r}]", comm_cost("lora", n, k, rank=r),
-            representation_capacity("lora", n), rank=r)
-    add("rqvae", f"rqvae[levels={s.levels};d_r={s.d_r}]",
-        comm_cost("rqvae", n, k, levels=s.levels, d_r=s.d_r),
-        representation_capacity("rqvae", n, levels=s.levels, d_r=s.d_r),
-        levels=s.levels, d_r=s.d_r)
-    add("hash", f"hash[d_h={s.d_h};h={s.n_hashes}]",
-        comm_cost("hash", n, k, d_h=s.d_h, n_hashes=s.n_hashes),
-        representation_capacity("hash", n, d_h=s.d_h, n_hashes=s.n_hashes),
-        d_h=s.d_h, n_hashes=s.n_hashes, p=s.p)
-    add("hash", f"hash_senet[d_h={s.d_h};h={s.n_hashes}]",
-        comm_cost("hash", n, k, d_h=s.d_h, n_hashes=s.n_hashes, senet=True,
-                  expansion=s.expansion),
-        representation_capacity("hash", n, d_h=s.d_h, n_hashes=s.n_hashes),
-        d_h=s.d_h, n_hashes=s.n_hashes, p=s.p, senet=True, expansion=s.expansion)
+        add(f"lora[rank={r}]", replace(s, kind="lora", rank=r))
+    add(f"rqvae[levels={s.levels};d_r={s.d_r}]", replace(s, kind="rqvae"))
+    add(f"hash[d_h={s.d_h};h={s.n_hashes}]", replace(s, kind="hash", senet=False))
+    add(f"hash_senet[d_h={s.d_h};h={s.n_hashes}]", replace(s, kind="hash", senet=True))
     return rows
 
 
@@ -177,10 +168,8 @@ def cmd_comm(args: argparse.Namespace) -> int:
 def _strategy_bytes(sim: Simulation) -> int:
     """Per-client upload after the warm-up: the strategy's closed form plus
     the shared MLP."""
-    cfg, s = sim.config, sim.config.strategy
-    return comm_cost(s.kind, sim.log.n_items, cfg.k, rank=s.rank, d_h=s.d_h,
-                     n_hashes=s.n_hashes, senet=s.senet, expansion=s.expansion,
-                     levels=s.levels, d_r=s.d_r) + sim.backbone.upload_bytes()
+    return (comm_cost(n_items=sim.log.n_items, k=sim.config.k, **asdict(sim.config.strategy))
+            + sim.backbone.upload_bytes())
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

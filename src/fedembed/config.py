@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .backbones import BACKBONE_KINDS
 from .privacy import DP_MODES, DpConfig
-from .strategies import STRATEGY_KINDS
+from .strategies import STRATEGY_INITS, STRATEGY_KINDS, StrategyConfig
 
 # Values outside these grids are rejected unless the config is marked unsafe.
 GRIDS = {
@@ -40,20 +40,6 @@ class DataConfig:
     feature_source: str = "synthetic"  # synthetic | file
     feature_path: str = ""
     feature_dim: int = 768
-
-
-@dataclass
-class StrategyConfig:
-    kind: str = "lora"                 # full | lora | hash | rqvae
-    rank: int = 4
-    d_h: int = 512
-    n_hashes: int = 2
-    p: int = 4096
-    senet: bool = False
-    expansion: int = 16
-    levels: int = 4
-    d_r: int = 256
-    init: str = "zero"                 # zero | base_distribution
 
 
 @dataclass
@@ -107,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"backbone: unknown value {self.backbone!r}")
         if self.strategy.kind not in STRATEGY_KINDS:
             raise ConfigError(f"strategy.kind: unknown value {self.strategy.kind!r}")
-        if self.strategy.init not in ("zero", "base_distribution"):
+        if self.strategy.init not in STRATEGY_INITS:
             raise ConfigError(f"strategy.init: unknown value {self.strategy.init!r}")
         if not 0 < self.federation.sample_ratio <= 1:
             raise ConfigError("federation.sample_ratio: must be in (0, 1]")
@@ -121,8 +107,6 @@ class ExperimentConfig:
             raise ConfigError(f"dp.mode: unknown value {self.dp.mode!r}")
         if self.dp.clip is not None and not self.dp.clip > 0:
             raise ConfigError(f"dp.clip: must be > 0, got {self.dp.clip}")
-        if self.strategy.p < self.strategy.d_h:
-            raise ConfigError("strategy.p: must be >= strategy.d_h")
         self._validate_numbers()
         if self.unsafe:
             return
@@ -140,7 +124,7 @@ class ExperimentConfig:
                     "data.item_clusters", "data.feature_dim", "strategy.rank",
                     "strategy.d_h", "strategy.n_hashes", "strategy.expansion",
                     "strategy.levels", "strategy.d_r", "federation.batch_size",
-                    "pretrain.batch_size"):
+                    "pretrain.batch_size", "eval.every"):
             _require(self, key, lambda v: v >= 1, ">= 1")
         for key in ("user_scale", "data.min_interactions", "federation.rounds",
                     "federation.warmup_rounds", "federation.local_epochs",
@@ -149,6 +133,9 @@ class ExperimentConfig:
             _require(self, key, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
         for key in ("federation.lr", "pretrain.lr"):
             _require(self, key, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+        # the checkpoint stores p and the hash parameters as u32
+        _require(self, "strategy.p", lambda v: self.strategy.d_h <= v < 2**32,
+                 f">= strategy.d_h ({self.strategy.d_h}) and < 2**32")
         _require(self, "data.affinity", lambda v: 0 <= v <= 1, "in [0, 1]")
         _require(self, "data.min_interactions", lambda v: v <= self.data.max_interactions,
                  f"<= data.max_interactions ({self.data.max_interactions})")
@@ -181,11 +168,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode()).hexdigest()[:16]
 
 
-# fields() on ExperimentConfig itself would recurse into sections; list the
-# scalar top-level keys explicitly instead.
-_TOP_LEVEL = ("backbone", "k", "user_scale", "seed", "out_dir", "unsafe")
-
-
 def _require(cfg: ExperimentConfig, key: str, ok, need: str) -> None:
     value = cfg
     for name in key.split("."):
@@ -195,13 +177,14 @@ def _require(cfg: ExperimentConfig, key: str, ok, need: str) -> None:
 
 
 def _iter_items(cfg: ExperimentConfig):
-    for name in _TOP_LEVEL:
-        yield name, cfg, name
-    for prefix, obj in (("data", cfg.data), ("strategy", cfg.strategy),
-                        ("federation", cfg.federation), ("eval", cfg.eval),
-                        ("dp", cfg.dp), ("pretrain", cfg.pretrain)):
-        for f in fields(obj):
-            yield f"{prefix}.{f.name}", obj, f.name
+    """`(key, object, attribute)` for each top-level field and each `section.name`."""
+    for f in fields(cfg):
+        section = getattr(cfg, f.name)
+        if not is_dataclass(section):
+            yield f.name, cfg, f.name
+            continue
+        for g in fields(section):
+            yield f"{f.name}.{g.name}", section, g.name
 
 
 def _coerce(default, raw: str):

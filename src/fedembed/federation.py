@@ -237,6 +237,9 @@ class Simulation:
 
         self.log = load_log(config)
         self.split: EvalSplit = leave_one_out_split(self.log)
+        if not len(self.split.test_users):
+            raise ValueError("no test user: no user has two interactions, so none can "
+                             "hold one out for evaluation")
         attach_eval_negatives(self.split, config.eval.negatives, self.streams.child("eval"))
 
         kind = config.strategy.kind
@@ -263,6 +266,16 @@ class Simulation:
         if len(saved.users) != self.log.n_users:
             raise ValueError(f"saved state has {len(saved.users)} users, "
                              f"the interaction log {self.log.n_users}")
+        kind = self.config.strategy.kind
+        if saved.adapter.kind != kind and not (saved.adapter.kind == "full"
+                                               and saved.round <= self.warmup_rounds):
+            raise ValueError(f"strategy.kind: the saved run at round {saved.round} has a "
+                             f"{saved.adapter.kind} adapter, not {kind}")
+        n_shared = len(_backbone_tensors(self.backbone))
+        if len(saved.backbone) != n_shared or \
+                (saved.users.embedding is None) != (self.config.backbone == "pfedrec"):
+            raise ValueError(f"backbone: the saved run's shared MLP ({len(saved.backbone)} "
+                             f"tensors) or user state does not fit {self.config.backbone}")
         self.base, self.adapter, self.round = saved.base, saved.adapter, saved.round
         self.codes = getattr(saved.adapter, "codes", None)
         _install_backbone(self.backbone, saved.backbone)
@@ -283,13 +296,10 @@ class Simulation:
         """Warm-up -> adapter boundary: freeze the table, build the adapter."""
         if self.adapter is not self.base:
             raise RuntimeError("adapter already initialized")
-        s = self.config.strategy
         self.base.freeze()
-        self.adapter = make_adapter(
-            s.kind, self.log.n_items, self.config.k, self.streams.child("adapter_init"),
-            rank=s.rank, d_h=s.d_h, n_hashes=s.n_hashes, p=s.p, senet=s.senet,
-            expansion=s.expansion, levels=s.levels, d_r=s.d_r, codes=self.codes,
-            init=s.init)
+        self.adapter = make_adapter(n_items=self.log.n_items, k=self.config.k,
+                                    streams=self.streams.child("adapter_init"),
+                                    codes=self.codes, **dataclasses.asdict(self.config.strategy))
 
     def _client_round(self, u: int, round_idx: int) -> ClientUpdate:
         cfg = self.config.federation
@@ -396,7 +406,7 @@ class Simulation:
 
     def run(self, checkpoint_dir: str | Path | None = None) -> ExperimentResult:
         cfg = self.config
-        every = max(cfg.eval.every, 1)
+        every = cfg.eval.every
         ckpt_every = cfg.federation.checkpoint_every
         if checkpoint_dir is not None and ckpt_every > 0:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)

@@ -34,6 +34,11 @@ def init_layer_weight(rng: np.random.Generator, fan_out: int, fan_in: int,
     return rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
 
 
+def relu_layers(n_layers: int) -> list[str]:
+    """ReLU between layers, identity on the output."""
+    return ["relu"] * (n_layers - 1) + ["identity"]
+
+
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0)
@@ -100,13 +105,12 @@ class MlpCache:
     inputs: list[np.ndarray] = field(default_factory=list)
     outputs: list[np.ndarray] = field(default_factory=list)
     masks: list[np.ndarray | None] = field(default_factory=list)
-    squeeze: bool = False
     n_layers: int = 0
 
 
 def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> tuple[np.ndarray, MlpCache]:
-    """Forward pass over a single vector or a (batch, dim) matrix.
+    """Forward pass over a (batch, dim) matrix.
 
     Returns the output and a cache sufficient for exact backprop. Dropout is
     applied to hidden activations in train mode only, with masks drawn from
@@ -116,9 +120,8 @@ def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
         raise ValueError("mode must be 'train' or 'eval'")
     x = np.asarray(x)
     check_finite(x, "mlp input")
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError(f"mlp input must be (batch, {model.in_dim}), got shape {x.shape}")
     if x.shape[1] != model.in_dim:
         raise ValueError(f"input dim {x.shape[1]} != model input dim {model.in_dim}")
 
@@ -126,7 +129,7 @@ def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
     if train and rng is None:
         raise ValueError("train mode with dropout requires an rng")
 
-    cache = MlpCache(squeeze=squeeze, n_layers=len(model.weights))
+    cache = MlpCache(n_layers=len(model.weights))
     keep = 1.0 - model.dropout
     h = x
     for l, (w, b, act) in enumerate(zip(model.weights, model.biases, model.activations)):
@@ -142,8 +145,7 @@ def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
         else:
             cache.masks.append(None)
             h = a
-    out = h[0] if squeeze else h
-    return out, cache
+    return h, cache
 
 
 def mlp_backward(model: Mlp, cache: MlpCache, output_grad: np.ndarray
@@ -155,8 +157,6 @@ def mlp_backward(model: Mlp, cache: MlpCache, output_grad: np.ndarray
     if cache.n_layers != len(model.weights):
         raise ValueError("cache does not match model")
     g = np.asarray(output_grad)
-    if cache.squeeze:
-        g = g[None, :]
     if g.shape != cache.outputs[-1].shape:
         raise ValueError(f"output_grad shape {g.shape} != forward output shape "
                          f"{cache.outputs[-1].shape}")
@@ -178,8 +178,7 @@ def mlp_backward(model: Mlp, cache: MlpCache, output_grad: np.ndarray
         w_grads[l] = gz.T @ cache.inputs[l]
         b_grads[l] = gz.sum(axis=0)
         g = gz @ model.weights[l]
-    input_grad = g[0] if cache.squeeze else g
-    return w_grads, b_grads, input_grad
+    return w_grads, b_grads, g
 
 
 def sgd_step(params, grads, lr: float):

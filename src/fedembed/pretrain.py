@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import Mlp, kmeans, mlp_backward, mlp_forward, nearest_rows, sgd_step
+from .numerics import (Mlp, kmeans, mlp_backward, mlp_forward, nearest_rows, relu_layers,
+                       sgd_step)
 from .rng import RngStream
 
 
@@ -38,8 +39,7 @@ class PretrainConfig:
 def _make_coder(in_dim: int, out_dim: int, hidden: tuple[int, ...],
                 rng: np.random.Generator, dtype=np.float32) -> Mlp:
     sizes = [in_dim, *hidden, out_dim]
-    acts = ["relu"] * (len(sizes) - 2) + ["identity"]
-    return Mlp.create(sizes, acts, rng, dropout=0.0, dtype=dtype)
+    return Mlp.create(sizes, relu_layers(len(sizes) - 1), rng, dropout=0.0, dtype=dtype)
 
 
 def _apply(model: Mlp, w_grads, b_grads, lr: float) -> None:
@@ -99,9 +99,8 @@ def rq_encode(z: np.ndarray, codebooks: np.ndarray
     search break to the lowest index.
     """
     z = np.asarray(z)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
+    if z.ndim != 2:
+        raise ValueError(f"rq_encode needs (batch, dim) latents, got shape {z.shape}")
     levels = codebooks.shape[0]
     b = z.shape[0]
     codes = np.empty((b, levels), dtype=np.int64)
@@ -116,8 +115,6 @@ def rq_encode(z: np.ndarray, codebooks: np.ndarray
         z_hat = z_hat + rows
         r = r - rows
         residuals[j + 1] = r
-    if single:
-        return codes[0], residuals[:, 0, :], z_hat[0]
     return codes, residuals, z_hat
 
 

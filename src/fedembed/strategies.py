@@ -26,10 +26,29 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import check_finite, init_layer_weight, init_uniform
+from .numerics import (Mlp, check_finite, init_layer_weight, init_uniform, mlp_backward,
+                       mlp_forward)
 from .rng import RngStream
 
 STRATEGY_KINDS = ("full", "lora", "hash", "rqvae")
+STRATEGY_INITS = ("zero", "base_distribution")
+
+
+@dataclass
+class StrategyConfig:
+    """A strategy's settings. `make_adapter`, `comm_cost` and
+    `representation_capacity` take them as keywords; these defaults fill in the rest."""
+
+    kind: str = "lora"                 # full | lora | hash | rqvae
+    rank: int = 4
+    d_h: int = 512
+    n_hashes: int = 2
+    p: int = 4096
+    senet: bool = False
+    expansion: int = 16
+    levels: int = 4
+    d_r: int = 256
+    init: str = "zero"                 # zero | base_distribution
 
 
 def _as_items(items) -> np.ndarray:
@@ -137,23 +156,13 @@ def hash_index(item_ids, a: int, b: int, p: int, d_h: int) -> np.ndarray:
     return ((a * ids + b) % p) % d_h
 
 
-def senet_weights(vectors: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Squeeze (mean over the embedding axis) then excite through the
-    two-layer ReLU/sigmoid net; returns per-vector weights in (0, 1)."""
-    v = np.asarray(vectors)
-    if v.ndim != 2 or v.shape[0] != w1.shape[1]:
-        raise ValueError(f"expected ({w1.shape[1]}, k) hash vectors, got {v.shape}")
-    s = v.mean(axis=1)
-    hidden = np.maximum(w1 @ s, 0)
-    return 1.0 / (1.0 + np.exp(-(w2 @ hidden)))
-
-
 @dataclass
 class HashAdapter:
     """Shared d_H x k table addressed through h universal hash functions.
 
     Variant "mean" averages the h hashed vectors; variant "senet" reweights
-    them with dynamic weights from a small squeeze-excitation net (w1, w2).
+    them with dynamic weights from a squeeze-excitation net: each vector's
+    mean goes through the bias-free ReLU/sigmoid `Mlp` [w1, w2].
     Hash parameters are fixed at construction and never trained. A client
     copy restricted to `rows` keeps those global ids in `ids` and hashes
     `ids[item]`, never the local id.
@@ -211,11 +220,11 @@ class HashAdapter:
         if not self.senet:
             out = base[items] + v.mean(axis=1)
             return out, cache
-        s = v.mean(axis=2)                       # (B, h)
-        hidden = np.maximum(s @ self.w1.T, 0)    # (B, h1)
-        w = 1.0 / (1.0 + np.exp(-(hidden @ self.w2.T)))   # (B, h)
+        zeros = [np.zeros(len(w), w.dtype) for w in (self.w1, self.w2)]
+        net = Mlp([self.w1, self.w2], zeros, ["relu", "sigmoid"])
+        w, net_cache = mlp_forward(net, v.mean(axis=2))     # (B, h), in (0, 1)
         out = base[items] + np.einsum("bh,bhk->bk", w, v)
-        cache.update({"s": s, "hidden": hidden, "w": w})
+        cache.update({"w": w, "net": net, "net_cache": net_cache})
         return out, cache
 
     def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
@@ -225,17 +234,10 @@ class HashAdapter:
             dv = np.broadcast_to(g[:, None, :] / self.n_hashes, v.shape)
             np.add.at(dtable, idx, dv)
             return [dtable]
-        w, hidden, s = cache["w"], cache["hidden"], cache["s"]
-        k = v.shape[2]
         dw = np.einsum("bk,bhk->bh", g, v)            # dL/dw
-        dv = w[:, :, None] * g[:, None, :]            # direct path
-        dpre2 = dw * w * (1.0 - w)
-        dw2 = dpre2.T @ hidden
-        dhidden = dpre2 @ self.w2
-        dpre1 = dhidden * (hidden > 0)
-        dw1 = dpre1.T @ s
-        ds = dpre1 @ self.w1
-        dv = dv + ds[:, :, None] / k                  # squeeze path
+        (dw1, dw2), _, ds = mlp_backward(cache["net"], cache["net_cache"], dw)
+        # the direct path, then the squeeze path through each vector's mean
+        dv = cache["w"][:, :, None] * g[:, None, :] + ds[:, :, None] / v.shape[2]
         np.add.at(dtable, idx, dv)
         return [dtable, dw1.astype(self.w1.dtype, copy=False),
                 dw2.astype(self.w2.dtype, copy=False)]
@@ -345,47 +347,45 @@ def draw_hash_params(rng: np.random.Generator, h: int, p: int) -> tuple[np.ndarr
 
 
 def make_adapter(kind: str, n_items: int, k: int, streams: RngStream, *,
-                 rank: int = 4, d_h: int = 512, n_hashes: int = 2, p: int = 4096,
-                 senet: bool = False, expansion: int = 16,
-                 levels: int = 4, d_r: int = 256, codes: np.ndarray | None = None,
-                 init: str = "zero", dtype=np.float32) -> Adapter:
-    """Construct a freshly initialized adapter.
+                 codes: np.ndarray | None = None, dtype=np.float32, **settings) -> Adapter:
+    """Construct a freshly initialized adapter from `StrategyConfig` settings.
 
     init="zero" zero-fills the shared hash table / codebooks so composition
     starts as an exact identity over the frozen base; init="base_distribution"
     uses the same small-uniform distribution as the full embedding instead.
     """
-    if init not in ("zero", "base_distribution"):
-        raise ValueError(f"unknown init {init!r}")
-    maybe_zero = (lambda shape, rng: np.zeros(shape, dtype=dtype)) if init == "zero" \
+    s = StrategyConfig(kind, **settings)
+    if s.init not in STRATEGY_INITS:
+        raise ValueError(f"unknown init {s.init!r}")
+    maybe_zero = (lambda shape, rng: np.zeros(shape, dtype=dtype)) if s.init == "zero" \
         else (lambda shape, rng: init_uniform(rng, shape, dtype=dtype))
 
     if kind == "full":
         return FullEmbeddingTable(init_uniform(streams.generator("init_full"), (n_items, k),
                                                dtype=dtype))
     if kind == "lora":
-        a = init_uniform(streams.generator("init_lora_a"), (n_items, rank), dtype=dtype)
-        b = np.zeros((k, rank), dtype=dtype)
+        a = init_uniform(streams.generator("init_lora_a"), (n_items, s.rank), dtype=dtype)
+        b = np.zeros((k, s.rank), dtype=dtype)
         return LoraAdapter(a, b)
     if kind == "hash":
-        if math.gcd(p, d_h) > 1:
-            warnings.warn(f"hash modulus p={p} shares the factor {math.gcd(p, d_h)} with "
-                          f"d_h={d_h}, so the hash functions give fewer distinct index "
+        if math.gcd(s.p, s.d_h) > 1:
+            warnings.warn(f"hash modulus p={s.p} shares the factor {math.gcd(s.p, s.d_h)} "
+                          f"with d_h={s.d_h}, so the hash functions give fewer distinct index "
                           f"tuples than representation_capacity claims; a prime p avoids "
                           f"this", stacklevel=2)
-        ha, hb = draw_hash_params(streams.generator("init_hash_fns"), n_hashes, p)
-        table = maybe_zero((d_h, k), streams.generator("init_hash_table"))
+        ha, hb = draw_hash_params(streams.generator("init_hash_fns"), s.n_hashes, s.p)
+        table = maybe_zero((s.d_h, k), streams.generator("init_hash_table"))
         w1 = w2 = None
-        if senet:
-            h1 = expansion * n_hashes
-            w1 = init_layer_weight(streams.generator("init_senet_w1"), h1, n_hashes, dtype)
-            w2 = init_layer_weight(streams.generator("init_senet_w2"), n_hashes, h1, dtype)
-        return HashAdapter(table, ha, hb, p, w1, w2)
+        if s.senet:
+            h1 = s.expansion * s.n_hashes
+            w1 = init_layer_weight(streams.generator("init_senet_w1"), h1, s.n_hashes, dtype)
+            w2 = init_layer_weight(streams.generator("init_senet_w2"), s.n_hashes, h1, dtype)
+        return HashAdapter(table, ha, hb, s.p, w1, w2)
     if kind == "rqvae":
         if codes is None:
             raise ValueError("rqvae adapter requires pre-trained semantic codes")
         codes = np.array(codes, dtype=np.int64)
-        books = maybe_zero((levels, d_r, k), streams.generator("init_codebooks"))
+        books = maybe_zero((s.levels, s.d_r, k), streams.generator("init_codebooks"))
         return RqVaeAdapter(books, codes)
     raise ValueError(f"unknown strategy kind {kind!r}")
 
@@ -416,34 +416,33 @@ def deserialize_upload(adapter: Adapter, payload: bytes) -> list[np.ndarray]:
     return tensors
 
 
-def comm_cost(kind: str, n_items: int, k: int, *, rank: int = 4, d_h: int = 512,
-              n_hashes: int = 2, senet: bool = False, expansion: int = 16,
-              levels: int = 4, d_r: int = 256) -> int:
-    """Exact upload bytes for one client under a strategy config."""
+def comm_cost(kind: str, n_items: int, k: int, **settings) -> int:
+    """Exact upload bytes for one client under `StrategyConfig` settings."""
+    s = StrategyConfig(kind, **settings)
     if kind == "full":
         return n_items * k * 4
     if kind == "lora":
-        return rank * (n_items + k) * 4
+        return s.rank * (n_items + k) * 4
     if kind == "hash":
-        cost = d_h * k * 4
-        if senet:
-            h1 = expansion * n_hashes
-            cost += 2 * h1 * n_hashes * 4
+        cost = s.d_h * k * 4
+        if s.senet:
+            h1 = s.expansion * s.n_hashes
+            cost += 2 * h1 * s.n_hashes * 4
         return cost
     if kind == "rqvae":
-        return levels * d_r * k * 4
+        return s.levels * s.d_r * k * 4
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 
-def representation_capacity(kind: str, n_items: int, *, d_h: int = 512,
-                            n_hashes: int = 2, levels: int = 4, d_r: int = 256) -> int:
+def representation_capacity(kind: str, n_items: int, **settings) -> int:
     """How many distinct item representations the strategy can express."""
+    s = StrategyConfig(kind, **settings)
     if kind in ("full", "lora"):
         return n_items
     if kind == "rqvae":
-        return d_r ** levels
+        return s.d_r ** s.levels
     if kind == "hash":
-        return math.comb(d_h + n_hashes - 1, n_hashes)
+        return math.comb(s.d_h + s.n_hashes - 1, s.n_hashes)
     raise ValueError(f"unknown strategy kind {kind!r}")
 
 

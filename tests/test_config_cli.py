@@ -220,7 +220,8 @@ class TestCliTrain:
     @pytest.mark.parametrize("setting", [
         "federation.batch_size=0", "federation.local_epochs=-1", "federation.neg_per_pos=-1",
         "federation.lr=-1", "federation.lr=nan", "eval.ks=0", "user_scale=-1",
-        "data.users=0", "data.min_interactions=50", "k=0",
+        "data.users=0", "data.min_interactions=50", "k=0", "strategy.p=4294967296",
+        "eval.every=0", "eval.every=-1",
     ])
     def test_bad_number_is_a_config_error_naming_the_key(self, tmp_path, capsys, setting):
         args = ["train", "--out-dir", str(tmp_path / "run")]
@@ -230,6 +231,19 @@ class TestCliTrain:
         key = setting.partition("=")[0]
         assert f"config error: {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_log_without_test_users_fails_before_pretraining(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pre-trained before the split was checked")
+
+        monkeypatch.setattr(federation, "train_autoencoder", refuse)
+        args = ["train", "--out-dir", str(tmp_path / "run")]
+        for s in BASE_SETTINGS + ["pretrain.enabled=true", "data.min_interactions=1",
+                                  "data.max_interactions=1"]:
+            args += ["--set", s]
+        assert run_cli(*args) == 2
+        assert "no user has two interactions" in capsys.readouterr().err
 
     def test_round_checkpoints_into_a_fresh_directory(self, tmp_path, capsys):
         out = self._train(tmp_path, "--rounds", "4",
@@ -304,6 +318,23 @@ class TestCliEval:
         capsys.readouterr()
         assert run_cli("eval", str(out), "--set", setting) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("backbone=fedncf", "backbone: the saved run's shared MLP (0 tensors)"),
+        ("backbone=pfedrec", "backbone: the saved run's shared MLP (0 tensors)"),
+        ("strategy.kind=hash", "strategy.kind: the saved run at round 2 has a lora adapter"),
+    ])
+    def test_eval_rejects_overrides_that_contradict_the_saved_model(self, tmp_path, capsys,
+                                                                    setting, message):
+        out = tmp_path / "run"
+        args = ["train", "--out-dir", str(out)]
+        for s in BASE_SETTINGS:
+            args += ["--set", s]
+        assert run_cli(*args) == 0
+        capsys.readouterr()
+        assert run_cli("eval", str(out), "--set", setting) == 2
+        assert message in capsys.readouterr().err
+        assert run_cli("eval", str(out), "--set", "eval.negatives=-1") == 0
 
 
 class TestCliComm:

@@ -16,13 +16,13 @@ class TestForward:
     def test_zero_weights_sigmoid_gives_half(self):
         m = _mlp([np.zeros((3, 4)), np.zeros((2, 3))],
                  [np.zeros(3), np.zeros(2)], ["relu", "sigmoid"])
-        out, _ = mlp_forward(m, np.array([0.3, -1.0, 2.0, 0.7]))
-        assert np.array_equal(out, np.full(2, 0.5))
+        out, _ = mlp_forward(m, np.array([[0.3, -1.0, 2.0, 0.7]]))
+        assert np.array_equal(out, np.full((1, 2), 0.5))
 
     def test_identity_weights_relu(self):
         m = _mlp([np.eye(2)], [np.zeros(2)], ["relu"])
-        out, _ = mlp_forward(m, np.array([-1.0, 2.0]))
-        assert np.array_equal(out, np.array([0.0, 2.0]))
+        out, _ = mlp_forward(m, np.array([[-1.0, 2.0]]))
+        assert np.array_equal(out, np.array([[0.0, 2.0]]))
 
     def test_two_layer_chain_matches_hand_computation(self):
         # oracle: explicit scalar arithmetic, no matrix ops
@@ -36,14 +36,19 @@ class TestForward:
         expected = sum(w1[0][i] * a0[i] for i in range(3)) + b1[0]
 
         m = _mlp([w0, w1], [b0, b1], ["relu", "identity"])
-        out, _ = mlp_forward(m, np.array(x))
-        assert out.shape == (1,)
-        assert out[0] == pytest.approx(expected, abs=1e-12)
+        out, _ = mlp_forward(m, np.array([x]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
         m = _mlp([np.zeros((3, 4))], [np.zeros(3)], ["relu"])
         with pytest.raises(ValueError, match="input dim"):
-            mlp_forward(m, np.zeros(5))
+            mlp_forward(m, np.zeros((1, 5)))
+
+    def test_single_vector_rejected_naming_the_batch_shape(self):
+        m = _mlp([np.zeros((3, 4))], [np.zeros(3)], ["relu"])
+        with pytest.raises(ValueError, match=r"must be \(batch, 4\), got shape \(4,\)"):
+            mlp_forward(m, np.zeros(4))
 
     def test_non_finite_input_raises(self):
         m = _mlp([np.zeros((3, 4))], [np.zeros(3)], ["relu"])
@@ -58,7 +63,7 @@ class TestForward:
     def test_eval_mode_is_deterministic_with_dropout_configured(self):
         rng = np.random.default_rng(0)
         m = Mlp.create([4, 8, 2], ["relu", "identity"], rng, dropout=0.5, dtype=np.float64)
-        x = np.linspace(-1, 1, 4)
+        x = np.linspace(-1, 1, 4)[None, :]
         a, _ = mlp_forward(m, x, mode="eval")
         b, _ = mlp_forward(m, x, mode="eval")
         assert np.array_equal(a, b)
@@ -112,19 +117,19 @@ class TestBackward:
 
     def test_single_linear_layer_weight_grad_is_outer_product(self):
         m = _mlp([[[0.5, -1.0], [2.0, 0.25]]], [[0.0, 0.0]], ["identity"])
-        x = np.array([3.0, -2.0])
-        g = np.array([1.5, -0.5])
+        x = np.array([[3.0, -2.0]])
+        g = np.array([[1.5, -0.5]])
         _, cache = mlp_forward(m, x)
         wg, bg, _ = mlp_backward(m, cache, g)
         assert np.allclose(wg[0], np.outer(g, x))
-        assert np.allclose(bg[0], g)
+        assert np.allclose(bg[0], g[0])
 
     def test_mismatched_cache_rejected(self, rng):
         m1 = Mlp.create([3, 4, 2], ["relu", "identity"], rng, dtype=np.float64)
         m2 = Mlp.create([3, 4], ["identity"], rng, dtype=np.float64)
-        _, cache = mlp_forward(m1, np.zeros(3))
+        _, cache = mlp_forward(m1, np.zeros((1, 3)))
         with pytest.raises(ValueError, match="cache"):
-            mlp_backward(m2, cache, np.zeros(2))
+            mlp_backward(m2, cache, np.zeros((1, 2)))
 
     def test_wrong_output_grad_shape_rejected(self, rng):
         m = Mlp.create([3, 4, 2], ["relu", "identity"], rng, dtype=np.float64)

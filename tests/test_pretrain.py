@@ -62,16 +62,16 @@ class TestAutoencoder:
 class TestRqEncode:
     def test_worked_example(self):
         books = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-        codes, residuals, z_hat = rq_encode(np.array([0.9, 0.1]), books)
-        assert codes.tolist() == [0]
-        assert residuals[1] == pytest.approx([-0.1, 0.1])
-        assert z_hat == pytest.approx([1.0, 0.0])
+        codes, residuals, z_hat = rq_encode(np.array([[0.9, 0.1]]), books)
+        assert codes.tolist() == [[0]]
+        assert residuals[1, 0] == pytest.approx([-0.1, 0.1])
+        assert z_hat[0] == pytest.approx([1.0, 0.0])
 
     def test_exact_codebook_row_gives_zero_residual(self):
-        z = np.array([0.25, -0.5, 1.0])
-        books = np.stack([np.stack([z, z + 1.0])])
+        z = np.array([[0.25, -0.5, 1.0]])
+        books = np.stack([np.concatenate([z, z + 1.0])])
         codes, residuals, z_hat = rq_encode(z, books)
-        assert codes.tolist() == [0]
+        assert codes.tolist() == [[0]]
         assert np.array_equal(z_hat, z)
         assert not residuals[1].any()
 
@@ -101,8 +101,12 @@ class TestRqEncode:
 
     def test_ties_break_to_lowest_index(self):
         books = np.array([[[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]])
-        codes, _, _ = rq_encode(np.array([1.0, 0.0]), books)
-        assert codes.tolist() == [0]
+        codes, _, _ = rq_encode(np.array([[1.0, 0.0]]), books)
+        assert codes.tolist() == [[0]]
+
+    def test_single_vector_rejected_naming_the_batch_shape(self):
+        with pytest.raises(ValueError, match=r"\(batch, dim\) latents, got shape \(2,\)"):
+            rq_encode(np.array([1.0, 0.0]), np.zeros((1, 2, 2)))
 
 
 class TestCodebookInit:

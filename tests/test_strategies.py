@@ -12,7 +12,7 @@ from fedembed.strategies import (FullAdapter, FullEmbeddingTable, HashAdapter,
                                  LoraAdapter, RqVaeAdapter, comm_cost,
                                  deserialize_upload, hash_index, load_checkpoint,
                                  make_adapter, representation_capacity,
-                                 save_checkpoint, senet_weights, serialize_upload)
+                                 save_checkpoint, serialize_upload)
 
 
 def base_table(n, k, seed=0, dtype=np.float32):
@@ -115,17 +115,31 @@ class TestHashIndex:
         assert idx == ((a * item + b) % 4096) % d_h
 
 
+def senet_compose(vectors, w1, w2):
+    """The SENet weights `HashAdapter.compose` uses for one item whose h
+    hashed vectors are `vectors` (item 0 hashes to row j by its j-th
+    function), and the composed embedding over a zero base."""
+    v = np.asarray(vectors, dtype=np.float64)
+    b = np.arange(len(v))
+    adapter = HashAdapter(v.copy(), b + 1, b, len(v) + 1, np.asarray(w1, dtype=np.float64),
+                          np.asarray(w2, dtype=np.float64))
+    out, cache = adapter.compose(np.zeros((1, v.shape[1])), [0])
+    assert np.array_equal(cache["v"][0], v)
+    return cache["w"][0], out[0]
+
+
 class TestSenet:
     def test_zero_weights_give_half(self):
         v = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = senet_weights(v, np.zeros((32, 2)), np.zeros((2, 32)))
+        w, out = senet_compose(v, np.zeros((32, 2)), np.zeros((2, 32)))
         assert np.array_equal(w, np.full(2, 0.5))
+        assert np.array_equal(out, 0.5 * v[0] + 0.5 * v[1])
 
     def test_weights_strictly_inside_unit_interval(self, rng):
         v = rng.normal(0, 10, (3, 5))
         w1 = rng.normal(0, 2, (48, 3))
         w2 = rng.normal(0, 2, (3, 48))
-        w = senet_weights(v, w1, w2)
+        w, _ = senet_compose(v, w1, w2)
         assert np.all(w > 0) and np.all(w < 1)
 
     def test_hand_computed_small_case(self):
@@ -137,12 +151,15 @@ class TestSenet:
         hidden = [max(0.5 * s[0] - 0.25 * s[1], 0.0), max(1.0 * s[0] + 0.5 * s[1], 0.0)]
         pre = [0.2 * hidden[0] - 0.4 * hidden[1], -0.6 * hidden[0] + 0.8 * hidden[1]]
         expected = [1.0 / (1.0 + math.exp(-p)) for p in pre]
-        got = senet_weights(v, w1, w2)
+        got, out = senet_compose(v, w1, w2)
         assert got == pytest.approx(expected, abs=1e-12)
+        assert out == pytest.approx([expected[0] * 2.0 + expected[1] * 6.0,
+                                     expected[0] * 4.0 + expected[1] * 8.0], abs=1e-12)
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="hash vectors"):
-            senet_weights(np.zeros((3, 4)), np.zeros((8, 2)), np.zeros((2, 8)))
+        # three hashed vectors against a net built for two
+        with pytest.raises(ValueError, match="input dim 3 != model input dim 2"):
+            senet_compose(np.zeros((3, 4)), np.zeros((8, 2)), np.zeros((2, 8)))
 
 
 def _grad_setup(kind, rng, **kwargs):
