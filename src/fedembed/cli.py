@@ -110,6 +110,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     cfg = load_config(run_dir / "config.txt", args.set or None)
     sim = Simulation(cfg, saved=load_sim_state(run_dir))
+    # every key but eval.* fixed the saved model or its split; checked after
+    # `Simulation`, whose messages name a backbone, strategy or size mismatch
+    trained = dict(line.split(" = ", 1) for line in
+                   load_config(run_dir / "config.txt").to_text().splitlines())
+    for key, value in (line.split(" = ", 1) for line in cfg.to_text().splitlines()):
+        if value != trained[key] and not key.startswith("eval."):
+            raise ValueError(f"{key}: eval --set may change only eval.* keys; "
+                             f"the run was trained with {key} = {trained[key]}")
     table = sim.evaluate()
     print("metric,value")
     for name, value in table.items():
@@ -149,9 +157,28 @@ def _comm_rows(n: int, k: int, cfg: ExperimentConfig, ranks: list[int]) -> list[
     return rows
 
 
+def _each_value(args: argparse.Namespace, flag: str, raw: str, key: str
+                ) -> list[tuple[str, ExperimentConfig]]:
+    """One config per comma-separated value of a list flag, set at `key` and
+    validated by the config's own rules."""
+    values = [v.strip() for v in raw.split(",") if v.strip()]
+    if not values:
+        raise ConfigError(f"{flag}: names no value")
+    out = []
+    for value in values:
+        cfg = _build_config(args)
+        apply_setting(cfg, key, value)
+        cfg.validate()
+        out.append((value, cfg))
+    return out
+
+
 def cmd_comm(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    ranks = [int(x) for x in args.ranks.split(",")] if args.ranks else [cfg.strategy.rank]
+    if args.items < 1:
+        raise ConfigError(f"--items: must be >= 1, got {args.items}")
+    ranks = [c.strategy.rank for _, c in _each_value(args, "--ranks", args.ranks,
+                                                     "strategy.rank")]
     rows = _comm_rows(args.items, cfg.k, cfg, ranks)
     lines = [f"# config={cfg.config_hash()} n={args.items} k={cfg.k}",
              "strategy,upload_bytes,upload_kb,representation,distinct_hash_tuples"]
@@ -165,27 +192,17 @@ def cmd_comm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _strategy_bytes(sim: Simulation) -> int:
-    """Per-client upload after the warm-up: the strategy's closed form plus
-    the shared MLP."""
-    return (comm_cost(n_items=sim.log.n_items, k=sim.config.k, **asdict(sim.config.strategy))
-            + sim.backbone.upload_bytes())
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
     base_cfg = _build_config(args)
     header_metrics: list[str] = []
     rows = []
-    for value in values:
-        cfg = _build_config(args)
-        apply_setting(cfg, args.param, value)
-        cfg.validate()
+    for value, cfg in _each_value(args, "--values", args.values, args.param):
         sim = Simulation(cfg)
         result = sim.run()
         if not header_metrics:
             header_metrics = list(result.final_metrics)
-        rows.append((value, result.final_metrics, _strategy_bytes(sim)))
+        # after `run` the adapter is the strategy's own, so this is its charge
+        rows.append((value, result.final_metrics, sim.client_upload_bytes()))
     lines = [f"# sweep {args.param} config={base_cfg.config_hash()} seed={base_cfg.seed}",
              f"{args.param}," + ",".join(header_metrics) + ",upload_bytes,upload_kb"]
     for value, m, upload in rows:

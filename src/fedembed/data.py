@@ -30,10 +30,6 @@ class InteractionLog:
     def __len__(self) -> int:
         return len(self.users)
 
-    @property
-    def sparsity(self) -> float:
-        return 1.0 - len(self) / (self.n_users * self.n_items)
-
 
 class FormatError(ValueError):
     pass
@@ -158,20 +154,6 @@ def choice_excluding(n: int, excluded: np.ndarray, size: int, rng: np.random.Gen
     return idx + np.searchsorted(excluded - np.arange(len(excluded)), idx, side="right")
 
 
-def sample_negatives(positives: np.ndarray, n_items: int, count: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample without replacement from the non-interacted items
-    (`positives` sorted and unique)."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    pool_size = n_items - len(positives)
-    if count > pool_size:
-        raise ValueError(f"cannot draw {count} negatives from {pool_size} candidates")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    return choice_excluding(n_items, positives, count, rng, replace=False)
-
-
 def attach_eval_negatives(split: EvalSplit, count: int, streams: RngStream) -> None:
     """Draw each test user's fixed negative candidate set, keyed by user.
 
@@ -185,18 +167,14 @@ def attach_eval_negatives(split: EvalSplit, count: int, streams: RngStream) -> N
             split.negatives[u] = np.setdiff1d(np.arange(split.n_items, dtype=np.int64), pos)
         else:
             take = min(count, split.n_items - len(pos))
-            split.negatives[u] = sample_negatives(pos, split.n_items, take,
-                                                  streams.generator("eval_neg", u))
+            split.negatives[u] = choice_excluding(split.n_items, pos, take,
+                                                  streams.generator("eval_neg", u),
+                                                  replace=False)
 
 
-@dataclass
-class ItemFeatureMatrix:
-    vectors: np.ndarray     # (n_items, k_p) float32
-    provenance: str         # "file" or "synthetic"
-
-
-def load_item_features(path: str | Path, log: InteractionLog) -> ItemFeatureMatrix:
-    """Read `item_id<TAB>v1,v2,...` lines; every item must have one vector."""
+def load_item_features(path: str | Path, log: InteractionLog) -> np.ndarray:
+    """Read `item_id<TAB>v1,v2,...` lines; every item must have one vector.
+    Returns the (n_items, k_p) float32 features."""
     i_map = {orig: d for d, orig in enumerate(log.item_ids)}
     rows: dict[int, np.ndarray] = {}
     dim = None
@@ -221,11 +199,11 @@ def load_item_features(path: str | Path, log: InteractionLog) -> ItemFeatureMatr
     if missing:
         raise FormatError(f"{path}: missing feature vectors for {len(missing)} items "
                           f"(first: {missing[:3]})")
-    return ItemFeatureMatrix(np.stack([rows[i] for i in range(log.n_items)]), "file")
+    return np.stack([rows[i] for i in range(log.n_items)])
 
 
 def synthetic_item_features(log: InteractionLog, k_p: int, seed: int,
-                            n_clusters: int = 16, noise: float = 0.5) -> ItemFeatureMatrix:
+                            n_clusters: int = 16, noise: float = 0.5) -> np.ndarray:
     """Seeded feature vectors correlated within co-occurrence clusters.
 
     Items are clustered (k-means, K=16) on a random projection of their
@@ -247,11 +225,11 @@ def synthetic_item_features(log: InteractionLog, k_p: int, seed: int,
     feat_rng = streams.generator("feat_vectors")
     centers = feat_rng.normal(size=(k, k_p))
     vectors = centers[labels] + noise * feat_rng.normal(size=(log.n_items, k_p))
-    return ItemFeatureMatrix(vectors.astype(np.float32), "synthetic")
+    return vectors.astype(np.float32)
 
 
 def build_item_features(log: InteractionLog, source: str, *, path: str | Path | None = None,
-                        k_p: int = 768, seed: int = 0) -> ItemFeatureMatrix:
+                        k_p: int = 768, seed: int = 0) -> np.ndarray:
     if source == "file":
         if path is None:
             raise ValueError("file source requires a path")

@@ -51,7 +51,6 @@ class RoundReport:
     aggregate_bytes: int
     train_loss: float
     base_hash: str                  # sha256 of the full table bytes
-    metrics: dict[str, float] | None = None
 
 
 @dataclass
@@ -212,9 +211,9 @@ def initial_items(config: ExperimentConfig, log: InteractionLog, streams: RngStr
     pcfg = PretrainConfig(hidden=p.hidden, latent_dim=k, steps=p.steps, lr=p.lr,
                           batch_size=p.batch_size, levels=s.levels, codebook_size=s.d_r,
                           beta=p.beta)
-    table, _ = train_autoencoder(features.vectors, pcfg, streams.child("pretrain_ae"))
+    table, _ = train_autoencoder(features, pcfg, streams.child("pretrain_ae"))
     if s.kind == "rqvae":
-        codes, _ = train_rqvae(features.vectors, dataclasses.replace(pcfg, steps=p.rq_steps),
+        codes, _ = train_rqvae(features, dataclasses.replace(pcfg, steps=p.rq_steps),
                                streams.child("pretrain_rq"))
     return table, codes
 
@@ -348,14 +347,18 @@ class Simulation:
         return ClientUpdate(u, tensors, state,
                             float(np.mean(losses)) if losses else float("nan"))
 
+    def client_upload_bytes(self) -> int:
+        """What each client is charged: the paper's dense payload of the
+        current adapter plus the shared MLP, whatever rows it trained."""
+        return len(serialize_upload(self.adapter)) + self.backbone.upload_bytes()
+
     def run_round(self) -> RoundReport:
         cfg = self.config.federation
         self._maybe_transition()
         round_idx, phase = self.round, self.phase
 
         clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams, round_idx)
-        # every client is charged the paper's dense payload, whatever rows it trained
-        upload_bytes = len(serialize_upload(self.adapter)) + self.backbone.upload_bytes()
+        upload_bytes = self.client_upload_bytes()
         updates = [self._client_round(int(u), round_idx) for u in clients]
 
         weights = None
@@ -410,13 +413,11 @@ class Simulation:
         ckpt_every = cfg.federation.checkpoint_every
         if checkpoint_dir is not None and ckpt_every > 0:
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
-        m = self.evaluate()
-        self.metric_history.append((0, m))
+        self.metric_history.append((0, self.evaluate()))
         for _ in range(cfg.federation.rounds):
-            report = self.run_round()
+            self.run_round()
             if self.round % every == 0 or self.round == cfg.federation.rounds:
-                report.metrics = self.evaluate()
-                self.metric_history.append((self.round, report.metrics))
+                self.metric_history.append((self.round, self.evaluate()))
             if checkpoint_dir is not None and ckpt_every > 0 and self.round % ckpt_every == 0:
                 save_checkpoint(Path(checkpoint_dir) / f"round_{self.round:06d}.fpeb",
                                 self.base, self.adapter)
@@ -474,7 +475,7 @@ def rounds_csv(reports: list[RoundReport], metric_history: list[tuple[int, dict]
     lines = [f"# config={config_hash} seed={seed}",
              "round,phase,clients,bytes_per_client,loss," + ",".join(names)]
     for r in reports:
-        m = by_round.get(r.round + 1, r.metrics or {})
+        m = by_round.get(r.round + 1, {})
         vals = [f"{m[name]:.2f}" if name in m else "" for name in names]
         loss = "" if math.isnan(r.train_loss) else f"{r.train_loss:.6f}"
         lines.append(f"{r.round},{r.phase},{len(r.clients)},{r.bytes_per_client},"

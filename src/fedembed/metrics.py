@@ -3,19 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .backbones import Backbone, UserState, UserTable, score
 from .data import EvalSplit
-
-
-@dataclass
-class RankResult:
-    user: int
-    rank: int            # 1-based rank of the held-out item
-    n_candidates: int
 
 
 def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
@@ -40,13 +32,13 @@ def ndcg_at_k(rank: int, k: int) -> float:
 
 
 def rank_test_item(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
-                   user: int, test_item: int, negatives: np.ndarray) -> RankResult:
-    """Rank the held-out item against the user's fixed negative candidates."""
+                   test_item: int, negatives: np.ndarray) -> int:
+    """1-based rank of the held-out item against the user's fixed negative
+    candidates."""
     candidates = np.concatenate([[test_item], negatives])
     emb, _ = adapter.compose(base, candidates)
     logits, _ = score(backbone, state, emb, mode="eval")
-    rank = rank_from_scores(float(logits[0]), logits[1:])
-    return RankResult(user=user, rank=rank, n_candidates=len(candidates))
+    return rank_from_scores(float(logits[0]), logits[1:])
 
 
 def evaluate(backbone: Backbone, user_states: UserTable | dict[int, UserState],
@@ -60,11 +52,11 @@ def evaluate(backbone: Backbone, user_states: UserTable | dict[int, UserState],
     n = 0
     for u, item in zip(split.test_users, split.test_items):
         u = int(u)
-        res = rank_test_item(backbone, user_states[u], adapter, base,
-                             u, int(item), split.negatives[u])
+        rank = rank_test_item(backbone, user_states[u], adapter, base, int(item),
+                              split.negatives[u])
         for k in ks:
-            hr[k] += hr_at_k(res.rank, k)
-            ndcg[k] += ndcg_at_k(res.rank, k)
+            hr[k] += hr_at_k(rank, k)
+            ndcg[k] += ndcg_at_k(rank, k)
         n += 1
     out: dict[str, float] = {}
     for k in ks:

@@ -85,10 +85,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
     def params(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
 
@@ -238,8 +234,3 @@ def nearest_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ties go to the lowest index (argmin returns the first minimiser)."""
     d2 = ((points[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
-
-
-def kmeans_objective(points: np.ndarray, centroids: np.ndarray,
-                     assignments: np.ndarray) -> float:
-    return float(((points - centroids[assignments]) ** 2).sum())

@@ -36,10 +36,21 @@ class PretrainConfig:
     beta: float = 0.25
 
 
-def _make_coder(in_dim: int, out_dim: int, hidden: tuple[int, ...],
-                rng: np.random.Generator, dtype=np.float32) -> Mlp:
-    sizes = [in_dim, *hidden, out_dim]
-    return Mlp.create(sizes, relu_layers(len(sizes) - 1), rng, dropout=0.0, dtype=dtype)
+def _coders(features: np.ndarray, config: PretrainConfig, streams: RngStream, prefix: str,
+            encoder: Mlp | None, decoder: Mlp | None) -> tuple[np.ndarray, Mlp, Mlp]:
+    """The float32 features and the encoder/decoder pair: the ones passed in,
+    else ReLU MLPs drawn from `{prefix}_encoder` and `{prefix}_decoder`, the
+    decoder mirroring the encoder's layer sizes."""
+    x_all = np.asarray(features, dtype=np.float32)
+    if x_all.shape[0] == 0:
+        raise ValueError("features must be non-empty")
+    sizes = [x_all.shape[1], *config.hidden, config.latent_dim]
+    activations = relu_layers(len(sizes) - 1)
+    if encoder is None:
+        encoder = Mlp.create(sizes, activations, streams.generator(f"{prefix}_encoder"))
+    if decoder is None:
+        decoder = Mlp.create(sizes[::-1], activations, streams.generator(f"{prefix}_decoder"))
+    return x_all, encoder, decoder
 
 
 def _apply(model: Mlp, w_grads, b_grads, lr: float) -> None:
@@ -56,17 +67,8 @@ def train_autoencoder(features: np.ndarray, config: PretrainConfig, streams: Rng
     embeddings. Raises DivergenceError naming the step if the loss goes
     non-finite.
     """
-    x_all = np.asarray(features, dtype=np.float32)
-    n, k_p = x_all.shape
-    if n == 0:
-        raise ValueError("features must be non-empty")
-    if encoder is None:
-        encoder = _make_coder(k_p, config.latent_dim, config.hidden,
-                              streams.generator("ae_encoder"))
-    if decoder is None:
-        decoder = _make_coder(config.latent_dim, k_p, tuple(reversed(config.hidden)),
-                              streams.generator("ae_decoder"))
-
+    x_all, encoder, decoder = _coders(features, config, streams, "ae", encoder, decoder)
+    n = len(x_all)
     batch_rng = streams.generator("ae_batches")
     losses: list[float] = []
     for step in range(config.steps):
@@ -143,7 +145,6 @@ class RqVaeModel:
     encoder: Mlp
     decoder: Mlp
     codebooks: np.ndarray
-    beta: float = 0.25
     loss_log: list[float] = field(default_factory=list)
 
 
@@ -159,24 +160,15 @@ def train_rqvae(features: np.ndarray, config: PretrainConfig, streams: RngStream
     estimator. The trained codebooks only shape the codes; callers are
     expected to discard them for federation.
     """
-    x_all = np.asarray(features, dtype=np.float32)
-    n, k_p = x_all.shape
-    if n == 0:
-        raise ValueError("features must be non-empty")
-    if encoder is None:
-        encoder = _make_coder(k_p, config.latent_dim, config.hidden,
-                              streams.generator("rq_encoder"))
-    if decoder is None:
-        decoder = _make_coder(config.latent_dim, k_p, tuple(reversed(config.hidden)),
-                              streams.generator("rq_decoder"))
-
+    x_all, encoder, decoder = _coders(features, config, streams, "rq", encoder, decoder)
+    n = len(x_all)
     batch_rng = streams.generator("rq_batches")
     first = batch_rng.integers(0, n, size=min(config.batch_size, n))
     z0, _ = mlp_forward(encoder, x_all[first])
     codebooks = init_codebooks_kmeans(z0, config.levels, config.codebook_size,
                                       streams.generator("rq_kmeans"))
 
-    model = RqVaeModel(encoder, decoder, codebooks, config.beta)
+    model = RqVaeModel(encoder, decoder, codebooks)
     for step in range(config.steps):
         idx = batch_rng.integers(0, n, size=min(config.batch_size, n))
         x = x_all[idx]

@@ -400,22 +400,6 @@ def serialize_upload(adapter: Adapter) -> bytes:
     return b"".join(parts)
 
 
-def deserialize_upload(adapter: Adapter, payload: bytes) -> list[np.ndarray]:
-    """Inverse of serialize_upload given the adapter's shapes."""
-    tensors = []
-    offset = 0
-    for t in adapter.trainable():
-        nbytes = t.size * 4
-        if offset + nbytes > len(payload):
-            raise ValueError("payload too short for adapter shapes")
-        flat = np.frombuffer(payload, dtype="<f4", count=t.size, offset=offset)
-        tensors.append(flat.reshape(t.shape).astype(t.dtype))
-        offset += nbytes
-    if offset != len(payload):
-        raise ValueError(f"payload has {len(payload) - offset} trailing bytes")
-    return tensors
-
-
 def comm_cost(kind: str, n_items: int, k: int, **settings) -> int:
     """Exact upload bytes for one client under `StrategyConfig` settings."""
     s = StrategyConfig(kind, **settings)

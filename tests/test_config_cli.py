@@ -336,6 +336,27 @@ class TestCliEval:
         assert message in capsys.readouterr().err
         assert run_cli("eval", str(out), "--set", "eval.negatives=-1") == 0
 
+    @pytest.mark.parametrize("settings, key", [
+        (["strategy.senet=true", "strategy.d_h=1024"], "strategy.d_h"),
+        (["strategy.n_hashes=3"], "strategy.n_hashes"),
+        (["seed=5"], "seed"),
+    ], ids=["senet-d_h", "n_hashes", "seed"])
+    def test_eval_set_may_change_only_eval_keys(self, tmp_path, capsys, settings, key):
+        # each of these once rescored the saved model: under another config
+        # hash, or on another seed's split
+        out = tmp_path / "run"
+        args = ["train", "--out-dir", str(out)]
+        for s in BASE_SETTINGS + ["strategy.kind=hash", "strategy.d_h=256", "strategy.p=4093"]:
+            args += ["--set", s]
+        assert run_cli(*args) == 0
+        capsys.readouterr()
+        json_out = tmp_path / "b.json"
+        overrides = [arg for s in settings for arg in ("--set", s)]
+        assert run_cli("eval", str(out), *overrides, "--json-out", str(json_out)) == 2
+        assert f"{key}: eval --set may change only eval.* keys" in capsys.readouterr().err
+        assert not json_out.exists()
+        assert run_cli("eval", str(out), "--set", "eval.negatives=-1") == 0
+
 
 class TestCliComm:
     def test_full_row_dominates_peft_rows(self, tmp_path, capsys):
@@ -359,6 +380,24 @@ class TestCliComm:
         assert run_cli("comm", "--set", "strategy.d_h=7") == 1
         err = capsys.readouterr().err
         assert "strategy.d_h" in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--ranks", "0,9"], "strategy.rank: must be >= 1"),
+        (["--ranks", "2,9"], "strategy.rank: 9 outside supported grid"),
+        (["--ranks", "2,x"], "strategy.rank"),
+        (["--ranks", ""], "--ranks: names no value"),
+        (["--items", "-3"], "--items: must be >= 1"),
+        (["--items", "0"], "--items: must be >= 1"),
+    ])
+    def test_flags_follow_the_config_rules(self, capsys, argv, name):
+        assert run_cli("comm", *argv) == 1
+        assert name in capsys.readouterr().err
+
+    def test_unsafe_admits_a_rank_outside_the_grid_but_not_below_one(self, capsys):
+        assert run_cli("comm", "--items", "10", "--ranks", "9", "--unsafe") == 0
+        rows = [ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()[2:]]
+        assert "lora[rank=9]" in rows
+        assert run_cli("comm", "--items", "10", "--ranks", "0", "--unsafe") == 1
 
 
 PRETRAIN_SETTINGS = BASE_SETTINGS + [
@@ -425,6 +464,19 @@ class TestCliSweep:
         charged = {int(r.split(",")[3]) for r in rows if r.split(",")[1] == "peft"}
         assert charged == {column}
         assert column > 60_000
+
+    @pytest.mark.parametrize("values, message", [
+        ("", "--values: names no value"),
+        (" , ", "--values: names no value"),
+        ("2,9", "strategy.rank: 9 outside supported grid"),
+    ])
+    def test_bad_values_are_config_errors(self, tmp_path, capsys, values, message):
+        args = ["sweep", "--param", "strategy.rank", "--values", values, "--rounds", "1"]
+        for s in BASE_SETTINGS[1:]:      # without unsafe=true, so the grid applies
+            args += ["--set", s]
+        assert run_cli(*args) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
 
 class TestExitCodes:

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from fedembed.data import (FormatError, InteractionLog, attach_eval_negatives,
                            build_item_features, choice_excluding, leave_one_out_split,
-                           load_interactions, sample_negatives, save_id_maps,
-                           synthesize_interactions)
+                           load_interactions, save_id_maps, synthesize_interactions)
 from fedembed.rng import RngStream
 
 ML1M_RATINGS = os.environ.get("ML1M_RATINGS", "data/ml-1m/ratings.dat")
@@ -25,8 +24,7 @@ class TestLoading:
         p = write(tmp_path, "toy.dat", "0::0::5::10\n0::1::4::20\n")
         log = load_interactions(p, "ml1m")
         assert log.n_users == 1 and log.n_items == 2
-        assert len(log) == 2
-        assert log.sparsity == 0.0
+        assert len(log) == 2 == log.n_users * log.n_items     # sparsity 0
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = write(tmp_path, "bad.dat", "0::0::5::10\n0::1::oops\n")
@@ -172,20 +170,23 @@ class TestChoiceExcluding:
 
 
 class TestNegativeSampling:
+    """Evaluation negatives: `choice_excluding` without replacement."""
+
     def test_forced_single_candidate(self):
-        got = sample_negatives(np.array([0, 1]), 3, 1, np.random.default_rng(0))
+        got = choice_excluding(3, np.array([0, 1]), 1, np.random.default_rng(0),
+                               replace=False)
         assert got.tolist() == [2]
 
     def test_count_zero(self):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        got = sample_negatives(np.array([0]), 3, 0, rng)
-        assert got.size == 0
+        got = choice_excluding(3, np.array([0]), 0, rng, replace=False)
+        assert got.size == 0 and got.dtype == np.int64
         assert rng.bit_generator.state == before      # no draw consumed
 
     def test_over_draw_rejected(self):
-        with pytest.raises(ValueError, match="cannot draw"):
-            sample_negatives(np.array([0, 1]), 3, 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="Cannot take a larger sample"):
+            choice_excluding(3, np.array([0, 1]), 2, np.random.default_rng(0), replace=False)
 
     def test_full_ranking_candidates_are_every_non_interacted_item(self):
         log = synthesize_interactions(40, 25, seed=2)
@@ -203,7 +204,7 @@ class TestNegativeSampling:
         counts = np.zeros(100)
         calls, per = 80_000, 10
         for _ in range(calls):
-            counts[sample_negatives(pos, 100, per, g)] += 1
+            counts[choice_excluding(100, pos, per, g, replace=False)] += 1
         assert counts[42] == 0
         expected = calls * per / 99
         rel = np.abs(counts[np.arange(100) != 42] - expected) / expected
@@ -216,8 +217,7 @@ class TestItemFeatures:
             write(tmp_path, "l.dat", "0::0::5::1\n0::1::5::2\n"), "ml1m")
         rows = "\n".join(f"{i}\t" + ",".join("0.5" for _ in range(768)) for i in (0, 1))
         feats = build_item_features(log, "file", path=write(tmp_path, "f.tsv", rows))
-        assert feats.vectors.shape == (2, 768)
-        assert feats.provenance == "file"
+        assert feats.shape == (2, 768) and feats.dtype == np.float32
 
     def test_missing_item_vector_rejected(self, tmp_path):
         log = load_interactions(
@@ -229,14 +229,14 @@ class TestItemFeatures:
         log = synthesize_interactions(40, 25, seed=11)
         a = build_item_features(log, "synthetic", k_p=32, seed=2)
         b = build_item_features(log, "synthetic", k_p=32, seed=2)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a, b) and a.dtype == np.float32
         c = build_item_features(log, "synthetic", k_p=32, seed=3)
-        assert not np.array_equal(a.vectors, c.vectors)
+        assert not np.array_equal(a, c)
 
     def test_within_cluster_similarity_exceeds_cross(self):
         log = synthesize_interactions(120, 60, seed=8, n_item_clusters=4)
         feats = build_item_features(log, "synthetic", k_p=48, seed=8)
-        v = feats.vectors / np.linalg.norm(feats.vectors, axis=1, keepdims=True)
+        v = feats / np.linalg.norm(feats, axis=1, keepdims=True)
         sim = v @ v.T
         # oracle clusters: recompute like the generator lays items out
         labels = np.searchsorted(np.linspace(0, 60, 5).astype(int), np.arange(60),
@@ -255,7 +255,7 @@ def test_ml1m_reference_statistics():
     assert log.n_users == 6040
     assert log.n_items == 3706
     assert len(log) == 1_000_209
-    assert round(100 * log.sparsity, 2) == 95.53
+    assert round(100 * (1 - len(log) / (log.n_users * log.n_items)), 2) == 95.53
 
 
 class TestSynthesizer:

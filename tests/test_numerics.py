@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, relative_error
-from fedembed.numerics import (Mlp, kmeans, kmeans_objective, mlp_backward,
-                               mlp_forward, sgd_step)
+from fedembed.numerics import Mlp, kmeans, mlp_backward, mlp_forward, sgd_step
 
 
 def _mlp(weights, biases, acts, dropout=0.0):
@@ -166,6 +165,11 @@ class TestSgd:
         assert np.allclose(new[1], 0.0)
 
 
+def _objective(points, centroids, assignments):
+    """Sum of squared distances from each point to its centroid."""
+    return float(((points - centroids[assignments]) ** 2).sum())
+
+
 class TestKmeans:
     def test_two_well_separated_pairs(self, rng):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 10.0], [10.0, 11.0]])
@@ -192,14 +196,14 @@ class TestKmeans:
     def test_k_equals_n_zero_error(self, rng):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         centroids, assign = kmeans(pts, 3, rng=rng)
-        assert kmeans_objective(pts, centroids, assign) == 0.0
+        assert _objective(pts, centroids, assign) == 0.0
         assert sorted(assign.tolist()) == [0, 1, 2]
 
     def test_k_beyond_distinct_points_pads(self, rng):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
         centroids, assign = kmeans(pts, 4, rng=rng)
         assert centroids.shape == (4, 2)
-        assert kmeans_objective(pts, centroids, assign) == 0.0
+        assert _objective(pts, centroids, assign) == 0.0
 
     def test_objective_non_increasing_in_iterations(self):
         rng = np.random.default_rng(0)
@@ -207,7 +211,7 @@ class TestKmeans:
         costs = []
         for iters in range(1, 8):
             c, a = kmeans(pts, 5, iters=iters, rng=np.random.default_rng(42))
-            costs.append(kmeans_objective(pts, c, a))
+            costs.append(_objective(pts, c, a))
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
 
     def test_deterministic_given_seed(self):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from conftest import central_diff, relative_error
 from fedembed.rng import RngStream
 from fedembed.strategies import (FullAdapter, FullEmbeddingTable, HashAdapter,
-                                 LoraAdapter, RqVaeAdapter, comm_cost,
-                                 deserialize_upload, hash_index, load_checkpoint,
-                                 make_adapter, representation_capacity,
+                                 LoraAdapter, RqVaeAdapter, comm_cost, hash_index,
+                                 load_checkpoint, make_adapter, representation_capacity,
                                  save_checkpoint, serialize_upload)
 
 
@@ -257,19 +256,16 @@ class TestSerialization:
         for t in adapter.trainable():
             t += rng.normal(0, 1, t.shape).astype(np.float32)
         payload = serialize_upload(adapter)
-        tensors = deserialize_upload(adapter, payload)
+        # the layout: each trainable tensor as little-endian float32, in order
+        flat = np.frombuffer(payload, dtype="<f4")
+        splits = np.cumsum([t.size for t in adapter.trainable()])
+        assert splits[-1] == flat.size
+        tensors = [part.reshape(t.shape) for part, t in
+                   zip(np.split(flat, splits[:-1]), adapter.trainable())]
         for a, b in zip(adapter.trainable(), tensors):
             assert np.array_equal(a, b)
         adapter.set_trainable(tensors)
         assert serialize_upload(adapter) == payload
-
-    def test_truncated_payload_rejected(self):
-        adapter = make_adapter("lora", 5, 4, RngStream(0), rank=2)
-        payload = serialize_upload(adapter)
-        with pytest.raises(ValueError, match="short"):
-            deserialize_upload(adapter, payload[:-4])
-        with pytest.raises(ValueError, match="trailing"):
-            deserialize_upload(adapter, payload + b"\x00" * 4)
 
     def test_non_finite_upload_rejected(self):
         adapter = make_adapter("lora", 5, 4, RngStream(0), rank=2)

@@ -1,0 +1,38 @@
+"""`src/fedembed` keeps only what the program calls: every function, class
+and method it defines is used somewhere in the package besides its own
+definition."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fedembed"
+
+# called only from outside the package
+ALLOWED = {
+    "federation.Simulation.top_k_lists",   # the serving call: top-k lists per test user
+    "pretrain.read_codes",                 # reads the codes.tsv `fedembed pretrain` writes
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, bare name) of each top-level function and class and
+    each method; dunder methods are called by the language, so they are left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", item.name
+
+
+def test_every_src_definition_has_a_src_caller():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [qualified for module, tree in trees.items()
+              for qualified, name in _definitions(module, tree)
+              if name not in used and qualified not in ALLOWED]
+    assert not unused, f"defined in src/fedembed but never used there: {unused}"
