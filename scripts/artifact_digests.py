@@ -10,8 +10,9 @@ Runs, each into its own directory under `--out`:
   `perfbench/workloads.py` at every seed in `--seeds`;
 - `fedembed train` on a matrix of small configs (60 users x 120 items,
   5 rounds, 2 warm-up rounds, no pre-training) that covers each backbone,
-  each strategy, both DP modes, `weighted` aggregation, `local_epochs=0`,
-  and clients without training positives under local DP;
+  each strategy, both DP modes with and without `dp.clip`, `weighted`
+  aggregation, `local_epochs=0`, and clients without training positives
+  under local DP;
 - `fedembed pretrain` for lora and rqvae, with a tiny pre-training;
 - `fedembed comm` with the default settings and with `strategy.p=4093`,
   `strategy.senet=true`, and a FedNCF `fedembed sweep` over `strategy.rank`
@@ -64,6 +65,12 @@ SMALL_RUNS = {
                                    "dp.mode=cdp", "dp.delta=0.01",
                                    "federation.aggregation=weighted"),
     "pfedrec-hash": ("backbone=pfedrec", "strategy.kind=hash", "strategy.d_h=256"),
+    # clipped updates under both DP modes
+    "fedncf-lora-ldp-clip": ("backbone=fedncf", "strategy.kind=lora", "dp.mode=ldp",
+                             "dp.delta=0.01", "dp.clip=0.05"),
+    "fedmf-hash-cdp-clip-weighted": ("strategy.kind=hash", "strategy.d_h=256",
+                                     "dp.mode=cdp", "dp.delta=0.01", "dp.clip=0.02",
+                                     "federation.aggregation=weighted"),
     "fedmf-lora-epochs0": ("strategy.kind=lora", "federation.local_epochs=0"),
     # some users have no interaction, so some sampled clients take no step
     "fedmf-lora-ldp-untrained": ("strategy.kind=lora", "data.min_interactions=0",

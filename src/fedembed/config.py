@@ -141,7 +141,8 @@ class ExperimentConfig:
                  f"<= data.max_interactions ({self.data.max_interactions})")
         _require(self, "data.item_clusters", lambda v: v <= self.data.items,
                  f"<= data.items ({self.data.items})")
-        _require(self, "eval.ks", lambda ks: all(k >= 1 for k in ks), "cutoffs >= 1")
+        _require(self, "eval.ks", lambda ks: ks and len(set(ks)) == len(ks) and min(ks) >= 1,
+                 "a non-empty list of distinct cutoffs >= 1")
         _require(self, "eval.negatives", lambda v: v >= -1, ">= 0, or -1 for all items")
 
     def to_text(self) -> str:

@@ -20,7 +20,6 @@ from .rng import RngStream
 class InteractionLog:
     users: np.ndarray      # dense user id per interaction
     items: np.ndarray      # dense item id per interaction
-    ratings: np.ndarray
     timestamps: np.ndarray
     n_users: int
     n_items: int
@@ -46,13 +45,13 @@ def _parse_lines(path: str | Path, sep: str, numeric_ids: bool):
             if len(parts) != 4:
                 raise FormatError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
             try:
-                rating = float(parts[2])
+                float(parts[2])         # the rating: checked, not kept
                 ts = int(parts[3])
                 if numeric_ids:
                     int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((parts[0], parts[1], rating, ts))
+            rows.append((parts[0], parts[1], ts))
     if not rows:
         raise FormatError(f"{path}: no interactions")
     return rows
@@ -74,11 +73,9 @@ def load_interactions(path: str | Path, fmt: str) -> InteractionLog:
     else:
         raise FormatError(f"unknown format {fmt!r}")
 
-    latest: dict[tuple[str, str], tuple[float, int]] = {}
-    for u, i, r, t in rows:
-        prev = latest.get((u, i))
-        if prev is None or t >= prev[1]:
-            latest[(u, i)] = (r, t)
+    latest: dict[tuple[str, str], int] = {}
+    for u, i, t in rows:
+        latest[(u, i)] = max(t, latest.get((u, i), t))
 
     user_ids = sorted({u for u, _ in latest}, key=key)
     item_ids = sorted({i for _, i in latest}, key=key)
@@ -88,9 +85,8 @@ def load_interactions(path: str | Path, fmt: str) -> InteractionLog:
     pairs = sorted(latest.items(), key=lambda kv: (u_map[kv[0][0]], i_map[kv[0][1]]))
     users = np.array([u_map[u] for (u, _), _ in pairs], dtype=np.int64)
     items = np.array([i_map[i] for (_, i), _ in pairs], dtype=np.int64)
-    ratings = np.array([r for _, (r, _) in pairs], dtype=np.float32)
-    stamps = np.array([t for _, (_, t) in pairs], dtype=np.int64)
-    return InteractionLog(users, items, ratings, stamps, len(user_ids), len(item_ids),
+    stamps = np.array([t for _, t in pairs], dtype=np.int64)
+    return InteractionLog(users, items, stamps, len(user_ids), len(item_ids),
                           [str(u) for u in user_ids], [str(i) for i in item_ids])
 
 
@@ -274,7 +270,6 @@ def synthesize_interactions(n_users: int, n_items: int, seed: int,
     return InteractionLog(
         users=np.array(users, dtype=np.int64),
         items=np.array(items, dtype=np.int64),
-        ratings=np.ones(len(users), dtype=np.float32),
         timestamps=np.array(stamps, dtype=np.int64),
         n_users=n_users,
         n_items=n_items,

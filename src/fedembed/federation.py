@@ -7,13 +7,13 @@ keyed by (seed, purpose, client, round), so results do not depend on the
 order in which clients are trained.
 
 A client trains only the item rows it touches: the positives and negatives
-of all its local epochs, drawn when it starts. Item-indexed tensors go up as
-`RowUpload`s of those rows; every other tensor goes up whole. The server
-folds the uploads into one float64 running sum per tensor, so it never
-holds one dense table per client unless local DP densified them. Each client
-is still charged the paper's dense payload. Every sampled client takes the
-same path, so one with no training positives or no local epoch uploads an
-empty row set that is clipped and noised like any other.
+of all its local epochs, drawn by `_plan` before `_train` runs. Item-indexed
+tensors go up as `RowUpload`s of those rows; every other tensor goes up
+whole. The server folds the uploads into one float64 running sum per tensor,
+so it never holds one dense table per client unless local DP densified them.
+Each client is still charged the paper's dense payload. Every sampled client
+takes the same path, so one with no training positives or no local epoch
+uploads an empty row set that is clipped and noised like any other.
 """
 
 from __future__ import annotations
@@ -82,12 +82,13 @@ def densify(t: Upload, snapshot: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class ClientUpdate:
+class ClientPlan(NamedTuple):
+    """A client's draws for one round: the item rows it holds and, per local
+    step, local ids into `rows` and their labels."""
+
     client: int
-    tensors: list[Upload]           # the adapter's trainable tensors, then the shared MLP's
-    state: UserState
-    loss: float                     # nan when the client took no step
+    rows: np.ndarray
+    steps: list[tuple[np.ndarray, np.ndarray]]
 
 
 def select_clients(n_users: int, ratio: float, streams: RngStream,
@@ -100,12 +101,12 @@ def select_clients(n_users: int, ratio: float, streams: RngStream,
     return np.sort(rng.choice(n_users, size=count, replace=False))
 
 
-def aggregate(uploads: list[list[Upload]], weights: np.ndarray | None = None,
-              snapshot: list[np.ndarray] | None = None) -> list[np.ndarray]:
+def aggregate(uploads: list[list[Upload]], snapshot: list[np.ndarray],
+              weights: np.ndarray | None = None) -> list[np.ndarray]:
     """Positionwise weighted mean of client uploads (FedAvg).
 
-    weights: optional per-client weights (normalized here). snapshot: the
-    tensors the round started from, needed for `RowUpload` entries.
+    snapshot: the round's starting tensors, which a `RowUpload` keeps off its
+    rows, and whose dtypes the output takes. weights: optional, normalized here.
 
     Each position is folded client by client into a float64 sum starting at
     +0.0, which is bit for bit what summing the stacked float64 products
@@ -123,18 +124,13 @@ def aggregate(uploads: list[list[Upload]], weights: np.ndarray | None = None,
             raise ValueError("bad aggregation weights")
         w = weights / weights.sum()
     out = []
-    for pos in range(len(uploads[0])):
+    for pos, snap in enumerate(snapshot):
         entries = [client[pos] for client in uploads]
-        snap = None if snapshot is None else snapshot[pos]
-        if snap is None and any(isinstance(e, RowUpload) for e in entries):
-            raise ValueError(f"row uploads at position {pos} need the round's snapshot")
-        first = entries[0].values if isinstance(entries[0], RowUpload) else entries[0]
-        shape = first.shape if snap is None else snap.shape
-        if math.prod(shape) == 1:
+        if snap.size == 1:
             products = [wc * densify(e, snap) for wc, e in zip(w, entries)]
-            out.append(np.sum(np.stack(products), axis=0).astype(first.dtype))
+            out.append(np.sum(np.stack(products), axis=0).astype(snap.dtype))
             continue
-        acc = np.zeros(shape)
+        acc = np.zeros(snap.shape)
         scaled_w, scaled = None, None
         for wc, e in zip(w, entries):
             if isinstance(e, RowUpload):
@@ -147,15 +143,8 @@ def aggregate(uploads: list[list[Upload]], weights: np.ndarray | None = None,
                 acc[e.rows] = saved + wc * e.values
             else:
                 acc += wc * e
-        out.append(acc.astype(first.dtype))
+        out.append(acc.astype(snap.dtype))
     return out
-
-
-def _clip(t: Upload, snapshot: np.ndarray, clip: float) -> Upload:
-    """`clip_update` of one upload; a row upload's update is zero off its rows."""
-    if isinstance(t, RowUpload):
-        return RowUpload(t.rows, clip_update(t.values, snapshot[t.rows], clip))
-    return clip_update(t, snapshot, clip)
 
 
 def _backbone_tensors(backbone: Backbone) -> list[np.ndarray]:
@@ -300,14 +289,11 @@ class Simulation:
                                     streams=self.streams.child("adapter_init"),
                                     codes=self.codes, **dataclasses.asdict(self.config.strategy))
 
-    def _client_round(self, u: int, round_idx: int) -> ClientUpdate:
+    def _plan(self, u: int, round_idx: int) -> ClientPlan:
+        """Client `u`'s keyed draws for a round: per local epoch, its
+        positives and `neg_per_pos` negatives each, shuffled and batched."""
         cfg = self.config.federation
-        dp = self.config.dp
-        state = self.user_states[u].copy()
         positives = self.split.train_positives[u]
-        snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
-        item_indexed = self.adapter.item_indexed
-
         epochs = []
         for epoch in range(cfg.local_epochs):
             neg_rng = self.streams.generator("train_neg", u, round_idx, epoch)
@@ -321,31 +307,42 @@ class Simulation:
         # the client holds only these rows and trains on local ids into them;
         # a client with no positives or no epoch holds none and takes no step
         rows = np.unique(np.concatenate([np.empty(0, np.int64), *(i for i, _ in epochs)]))
-        adapter = self.adapter.copy(rows)
-        base = self.base.table[rows]
-        backbone = self.backbone.copy()
-        dropout_rng = self.streams.generator("dropout", u, round_idx)
-        losses = []
+        steps = []
         for items, labels in epochs:
             local = np.searchsorted(rows, items)
             for start in range(0, len(items), cfg.batch_size):
                 sl = slice(start, start + cfg.batch_size)
-                losses.append(local_step(backbone, state, adapter, base,
-                                         local[sl], labels[sl], cfg.lr, dropout_rng))
+                steps.append((local[sl], labels[sl]))
+        return ClientPlan(u, rows, steps)
 
-        tensors = [RowUpload(rows, t) if i in item_indexed else t
+    def _train(self, plan: ClientPlan, snapshot: list[np.ndarray], round_idx: int
+               ) -> tuple[list[Upload], UserState, float]:
+        """Train a plan from the round's snapshot (adapter tensors, then the shared
+        MLP's): the client's upload, clipped and noised as `dp` says, its new
+        state and its mean loss (nan when it took no step)."""
+        cfg, dp, u = self.config.federation, self.config.dp, plan.client
+        adapter = self.adapter.copy(plan.rows)
+        base = self.base.table[plan.rows]
+        backbone = self.backbone.copy()
+        state = self.user_states[u].copy()
+        dropout_rng = self.streams.generator("dropout", u, round_idx)
+        losses = [local_step(backbone, state, adapter, base, local, labels, cfg.lr, dropout_rng)
+                  for local, labels in plan.steps]
+        tensors = [RowUpload(plan.rows, t) if i in self.adapter.item_indexed else t
                    for i, t in enumerate(adapter.trainable() + _backbone_tensors(backbone))]
         for t in tensors:
             if not np.all(np.isfinite(t.values if isinstance(t, RowUpload) else t)):
                 raise FloatingPointError(
                     f"non-finite client update at round {round_idx} (client {u})")
         if dp.clip is not None:
-            tensors = [_clip(t, snap, dp.clip) for t, snap in zip(tensors, snapshot)]
+            # a row upload's update is zero off its rows
+            tensors = [RowUpload(t.rows, clip_update(t.values, snap[t.rows], dp.clip))
+                       if isinstance(t, RowUpload) else clip_update(t, snap, dp.clip)
+                       for t, snap in zip(tensors, snapshot)]
         if dp.mode == "ldp":
             tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
                                 dp, self.streams.generator("dp", u, round_idx))
-        return ClientUpdate(u, tensors, state,
-                            float(np.mean(losses)) if losses else float("nan"))
+        return tensors, state, float(np.mean(losses)) if losses else float("nan")
 
     def client_upload_bytes(self) -> int:
         """What each client is charged: the paper's dense payload of the
@@ -359,16 +356,16 @@ class Simulation:
 
         clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams, round_idx)
         upload_bytes = self.client_upload_bytes()
-        updates = [self._client_round(int(u), round_idx) for u in clients]
+        n_adapter = len(self.adapter.trainable())
+        snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
+        plans = [self._plan(int(u), round_idx) for u in clients]
+        results = [self._train(plan, snapshot, round_idx) for plan in plans]
 
         weights = None
         if cfg.aggregation == "weighted":
-            weights = np.array([max(len(self.split.train_positives[up.client]), 1)
-                                for up in updates], dtype=np.float64)
-        snapshot = self.adapter.trainable()
-        n_adapter = len(snapshot)
-        agg = aggregate([up.tensors for up in updates], weights=weights,
-                        snapshot=snapshot + _backbone_tensors(self.backbone))
+            weights = np.array([max(len(self.split.train_positives[plan.client]), 1)
+                                for plan in plans], dtype=np.float64)
+        agg = aggregate([tensors for tensors, _, _ in results], snapshot, weights)
         if self.config.dp.mode == "cdp":
             agg = apply_cdp(agg, self.config.dp, self.streams.generator("dp_server", round_idx))
 
@@ -377,17 +374,17 @@ class Simulation:
                 raise FloatingPointError(f"non-finite aggregate at round {round_idx}")
         self.adapter.set_trainable(agg[:n_adapter])
         _install_backbone(self.backbone, agg[n_adapter:])
-        for up in updates:
-            self.user_states[up.client] = up.state
+        for plan, (_, state, _) in zip(plans, results):
+            self.user_states[plan.client] = state
 
         self.round += 1
-        trained_losses = [up.loss for up in updates if not math.isnan(up.loss)]
+        trained_losses = [loss for _, _, loss in results if not math.isnan(loss)]
         report = RoundReport(
             round=round_idx,
             phase=phase,
-            clients=[up.client for up in updates],
+            clients=[plan.client for plan in plans],
             bytes_per_client=upload_bytes,
-            aggregate_bytes=upload_bytes * len(updates),
+            aggregate_bytes=upload_bytes * len(plans),
             train_loss=float(np.mean(trained_losses)) if trained_losses else float("nan"),
             base_hash=hashlib.sha256(self.base.table.tobytes()).hexdigest(),
         )

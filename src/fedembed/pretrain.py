@@ -143,7 +143,6 @@ def init_codebooks_kmeans(z_batch: np.ndarray, levels: int, codebook_size: int,
 @dataclass
 class RqVaeModel:
     encoder: Mlp
-    decoder: Mlp
     codebooks: np.ndarray
     loss_log: list[float] = field(default_factory=list)
 
@@ -168,7 +167,7 @@ def train_rqvae(features: np.ndarray, config: PretrainConfig, streams: RngStream
     codebooks = init_codebooks_kmeans(z0, config.levels, config.codebook_size,
                                       streams.generator("rq_kmeans"))
 
-    model = RqVaeModel(encoder, decoder, codebooks)
+    model = RqVaeModel(encoder, codebooks)
     for step in range(config.steps):
         idx = batch_rng.integers(0, n, size=min(config.batch_size, n))
         x = x_all[idx]

@@ -61,6 +61,9 @@ def valid_configs(draw) -> ExperimentConfig:
                 new = draw(st.sampled_from(sorted(GRIDS[key])))
             elif key == "dp.clip":
                 new = draw(st.none() | POSITIVE_FLOATS)
+            elif key == "eval.ks":
+                new = tuple(draw(st.lists(st.integers(1, 4096), min_size=1, max_size=4,
+                                          unique=True)))
             elif isinstance(value, bool):
                 new = draw(st.booleans())
             elif isinstance(value, int):
@@ -221,7 +224,7 @@ class TestCliTrain:
         "federation.batch_size=0", "federation.local_epochs=-1", "federation.neg_per_pos=-1",
         "federation.lr=-1", "federation.lr=nan", "eval.ks=0", "user_scale=-1",
         "data.users=0", "data.min_interactions=50", "k=0", "strategy.p=4294967296",
-        "eval.every=0", "eval.every=-1",
+        "eval.every=0", "eval.every=-1", "eval.ks=", "eval.ks=10,10,5",
     ])
     def test_bad_number_is_a_config_error_naming_the_key(self, tmp_path, capsys, setting):
         args = ["train", "--out-dir", str(tmp_path / "run")]

@@ -69,41 +69,36 @@ class TestSelectClients:
 class TestAggregate:
     def test_identical_updates_are_identity(self, rng):
         t = [rng.normal(0, 1, (3, 2)), rng.normal(0, 1, 4)]
-        out = aggregate([t, [x.copy() for x in t], [x.copy() for x in t]])
+        out = aggregate([t, [x.copy() for x in t], [x.copy() for x in t]], t)
         for a, b in zip(out, t):
             assert np.allclose(a, b)
 
     def test_two_updates_mean(self):
         p = [np.array([2.0, 4.0])]
         q = [np.array([4.0, 8.0])]
-        out = aggregate([p, q])
+        out = aggregate([p, q], p)
         assert np.allclose(out[0], [3.0, 6.0])
 
     def test_permutation_invariant(self, rng):
         updates = [[rng.normal(0, 1, (4,))] for _ in range(5)]
-        a = aggregate(updates)
-        b = aggregate(list(reversed(updates)))
+        a = aggregate(updates, updates[0])
+        b = aggregate(list(reversed(updates)), updates[0])
         assert np.allclose(a[0], b[0])
 
     def test_linearity_around_center(self, rng):
         p = rng.normal(0, 1, (3,))
         delta = rng.normal(0, 1, (3,))
-        out = aggregate([[p + delta], [p - delta]])
+        out = aggregate([[p + delta], [p - delta]], [p])
         assert np.allclose(out[0], p)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], [])
 
     def test_weighted_mean(self):
-        out = aggregate([[np.array([0.0])], [np.array([10.0])]],
+        out = aggregate([[np.array([0.0])], [np.array([10.0])]], [np.array([0.0])],
                         weights=np.array([3.0, 1.0]))
         assert np.allclose(out[0], 2.5)
-
-    def test_row_uploads_need_the_snapshot(self):
-        up = RowUpload(np.array([0]), np.ones((1, 2)))
-        with pytest.raises(ValueError, match="snapshot"):
-            aggregate([[up], [up]])
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -143,35 +138,33 @@ class TestAggregate:
         weights = rng.integers(1, 30, c).astype(np.float64) if integer_weights else None
         w = np.full(c, 1.0 / c) if weights is None else weights / weights.sum()
         expected = (np.stack(dense) * w.reshape((c,) + (1,) * len(shape))).sum(axis=0)
-        (got,) = aggregate(uploads, weights=weights, snapshot=[snapshot])
+        (got,) = aggregate(uploads, [snapshot], weights)
         assert got.dtype == dtype
         assert got.tobytes() == expected.astype(dtype).tobytes()
 
 
-def dense_reference_client(sim, u, round_idx):
-    """A client that copies the whole adapter and steps it on global item
-    ids, with the same keyed draws as `Simulation._client_round`."""
+def round_snapshot(sim):
+    """The tensors a round starts from: the adapter's, then the shared MLP's."""
+    return sim.adapter.trainable() + ([] if sim.backbone.mlp is None
+                                      else sim.backbone.mlp.params())
+
+
+def dense_reference_client(sim, plan, round_idx):
+    """A client that copies the whole adapter and steps it on the global item
+    ids `plan.rows[local]` of a `Simulation._plan`."""
     cfg = sim.config.federation
     adapter, backbone = sim.adapter.copy(), sim.backbone.copy()
-    state = sim.user_states[u].copy()
-    positives = sim.split.train_positives[u]
-    dropout_rng = sim.streams.generator("dropout", u, round_idx)
-    losses = []
-    for epoch in range(cfg.local_epochs):
-        negs = choice_excluding(sim.log.n_items, positives, cfg.neg_per_pos * len(positives),
-                                sim.streams.generator("train_neg", u, round_idx, epoch),
-                                replace=True)
-        items = np.concatenate([positives, negs])
-        labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
-                                 np.zeros(len(negs), dtype=np.float32)])
-        perm = sim.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
-        items, labels = items[perm], labels[perm]
-        for start in range(0, len(items), cfg.batch_size):
-            sl = slice(start, start + cfg.batch_size)
-            losses.append(local_step(backbone, state, adapter, sim.base.table,
-                                     items[sl], labels[sl], cfg.lr, dropout_rng))
+    state = sim.user_states[plan.client].copy()
+    dropout_rng = sim.streams.generator("dropout", plan.client, round_idx)
+    losses = [local_step(backbone, state, adapter, sim.base.table, plan.rows[local], labels,
+                         cfg.lr, dropout_rng) for local, labels in plan.steps]
     shared = [] if backbone.mlp is None else backbone.mlp.params()
     return adapter.trainable() + shared, state, float(np.mean(losses))
+
+
+def upload_bytes(tensors):
+    return [t.rows.tobytes() + t.values.tobytes() if isinstance(t, RowUpload) else t.tobytes()
+            for t in tensors]
 
 
 def state_tensors(state):
@@ -192,26 +185,74 @@ class TestClientRound:
         if kind != "full":
             sim.freeze_and_init_adapter()
             sim.run_round()      # adapter tensors away from their zero start
-        snapshot = sim.adapter.trainable() + ([] if sim.backbone.mlp is None
-                                               else sim.backbone.mlp.params())
+        snapshot = round_snapshot(sim)
         u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
-        up = sim._client_round(u, sim.round)
-        want, want_state, want_loss = dense_reference_client(sim, u, sim.round)
-        assert len(up.tensors) == len(snapshot)
-        got = [densify(t, s) for t, s in zip(up.tensors, snapshot)]
-        assert np.isfinite(up.loss) and up.loss == want_loss
+        plan = sim._plan(u, sim.round)
+        tensors, state, loss = sim._train(plan, snapshot, sim.round)
+        want, want_state, want_loss = dense_reference_client(sim, plan, sim.round)
+        assert len(tensors) == len(snapshot)
+        got = [densify(t, s) for t, s in zip(tensors, snapshot)]
+        assert np.isfinite(loss) and loss == want_loss
         assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
-        assert [t.tobytes() for t in state_tensors(up.state)] == \
+        assert [t.tobytes() for t in state_tensors(state)] == \
             [t.tobytes() for t in state_tensors(want_state)]
         if kind in ("full", "lora"):
-            (rows, values), *_ = up.tensors
+            (rows, values), *_ = tensors
             assert 0 < len(rows) < sim.log.n_items and len(values) == len(rows)
+
+    def test_plan_draws_the_keyed_negatives_and_shuffle(self):
+        cfg = small_config(**{"federation.local_epochs": 2, "federation.batch_size": 8})
+        fed, round_idx = cfg.federation, 3
+        sim = Simulation(cfg)
+        u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
+        positives = sim.split.train_positives[u]
+        want = []       # (global item ids, labels) per local step
+        for epoch in range(fed.local_epochs):
+            negs = choice_excluding(sim.log.n_items, positives,
+                                    fed.neg_per_pos * len(positives),
+                                    sim.streams.generator("train_neg", u, round_idx, epoch),
+                                    replace=True)
+            items = np.concatenate([positives, negs])
+            labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
+                                     np.zeros(len(negs), dtype=np.float32)])
+            perm = sim.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
+            items, labels = items[perm], labels[perm]
+            want += [(items[start:start + fed.batch_size], labels[start:start + fed.batch_size])
+                     for start in range(0, len(items), fed.batch_size)]
+        plan = sim._plan(u, round_idx)
+        assert plan.client == u
+        assert np.array_equal(plan.rows, np.unique(np.concatenate([i for i, _ in want])))
+        assert len(plan.steps) == len(want)
+        for (local, labels), (items, want_labels) in zip(plan.steps, want):
+            assert np.array_equal(plan.rows[local], items)
+            assert labels.tobytes() == want_labels.tobytes()
+
+    @pytest.mark.parametrize("dp", [{}, {"dp.mode": "ldp", "dp.delta": 0.01, "dp.clip": 0.05}],
+                             ids=["no-dp", "ldp-clip"])
+    def test_client_results_do_not_depend_on_training_order(self, dp):
+        cfg = small_config(**{"backbone": "fedncf", "federation.warmup_rounds": 1,
+                              "federation.sample_ratio": 0.5, **dp})
+        sim = Simulation(cfg)
+        for _ in range(2):            # a warm-up round, then a lora round
+            sim._maybe_transition()
+            snapshot = round_snapshot(sim)
+            plans = [sim._plan(int(u), sim.round) for u in
+                     select_clients(sim.log.n_users, 0.5, sim.streams, sim.round)]
+            forward = [sim._train(plan, snapshot, sim.round) for plan in plans]
+            backward = [sim._train(plan, snapshot, sim.round) for plan in reversed(plans)]
+            for (up, state, loss), (up_r, state_r, loss_r) in zip(forward, reversed(backward)):
+                assert upload_bytes(up) == upload_bytes(up_r)
+                assert [t.tobytes() for t in state_tensors(state)] == \
+                    [t.tobytes() for t in state_tensors(state_r)]
+                assert np.float64(loss).tobytes() == np.float64(loss_r).tobytes()
+            sim.run_round()
 
     def test_zero_local_epochs_returns_snapshot_bits(self):
         sim = Simulation(small_config(**{"federation.local_epochs": 0}))
-        up = sim._client_round(3, 0)
-        assert np.isnan(up.loss)
-        for got, snap in zip(up.tensors, sim.adapter.trainable()):
+        snapshot = round_snapshot(sim)
+        tensors, _, loss = sim._train(sim._plan(3, 0), snapshot, 0)
+        assert np.isnan(loss)
+        for got, snap in zip(tensors, snapshot):
             assert len(got.rows) == 0
             assert densify(got, snap).tobytes() == snap.tobytes()
 
@@ -238,20 +279,20 @@ class TestClientRound:
     def test_pfedrec_uploads_have_no_user_side_parameters(self):
         cfg = small_config(backbone="pfedrec")
         sim = Simulation(cfg)
-        snapshot = sim.adapter.trainable()
-        up = sim._client_round(1, 0)
+        snapshot = round_snapshot(sim)
+        tensors, _, _ = sim._train(sim._plan(1, 0), snapshot, 0)
         # upload consists solely of the item-side table in warm-up
-        shapes = [densify(t, s).shape for t, s in zip(up.tensors, snapshot)]
+        shapes = [densify(t, s).shape for t, s in zip(tensors, snapshot)]
         assert shapes == [(sim.log.n_items, cfg.k)]
         assert sim.run_round().bytes_per_client == comm_cost("full", sim.log.n_items, cfg.k)
 
     def test_same_key_same_update(self):
         sim = Simulation(small_config())
-        a = sim._client_round(2, 1)
-        b = sim._client_round(2, 1)
-        assert a.loss == b.loss
-        for (rows_a, x), (rows_b, y) in zip(a.tensors, b.tensors):
-            assert rows_a.tobytes() == rows_b.tobytes() and x.tobytes() == y.tobytes()
+        snapshot = round_snapshot(sim)
+        a, _, loss_a = sim._train(sim._plan(2, 1), snapshot, 1)
+        b, _, loss_b = sim._train(sim._plan(2, 1), snapshot, 1)
+        assert loss_a == loss_b
+        assert upload_bytes(a) == upload_bytes(b)
 
 
 class TestRoundMemory:
@@ -381,10 +422,10 @@ class TestDp:
         norms = []
         for _ in range(2):           # a warm-up round, then a lora round
             sim._maybe_transition()
-            snapshot = sim.adapter.trainable() + sim.backbone.mlp.params()
+            snapshot = round_snapshot(sim)
             for u in select_clients(sim.log.n_users, 0.25, sim.streams, sim.round):
-                up = sim._client_round(int(u), sim.round)
-                for t, s in zip(up.tensors, snapshot):
+                tensors, _, _ = sim._train(sim._plan(int(u), sim.round), snapshot, sim.round)
+                for t, s in zip(tensors, snapshot):
                     norms.append(np.linalg.norm(densify(t, s).astype(np.float64) - s))
             sim.run_round()
         assert max(norms) <= clip * (1 + 1e-6)

@@ -1,6 +1,6 @@
 """`src/fedembed` keeps only what the program calls: every function, class
 and method it defines is used somewhere in the package besides its own
-definition."""
+definition, and every field of its dataclasses and NamedTuples is read."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fedembed"
 ALLOWED = {
     "federation.Simulation.top_k_lists",   # the serving call: top-k lists per test user
     "pretrain.read_codes",                 # reads the codes.tsv `fedembed pretrain` writes
+}
+
+# read only by the benchmark's checks of a run's round reports
+ALLOWED_FIELDS = {
+    "federation.RoundReport.aggregate_bytes",
+    "federation.RoundReport.base_hash",
 }
 
 
@@ -26,9 +32,28 @@ def _definitions(module: str, tree: ast.Module):
                     yield f"{module}.{node.name}.{item.name}", item.name
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _fields(module: str, tree: ast.Module):
+    """(qualified name, bare name) of each field of each top-level dataclass
+    and NamedTuple; `ClassVar` annotations are not fields."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        marks = [ast.unparse(d).split("(")[0] for d in node.decorator_list + node.bases]
+        if not {"dataclass", "dataclasses.dataclass", "NamedTuple"} & set(marks):
+            continue
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and not ast.unparse(item.annotation).startswith("ClassVar")):
+                yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
 def test_every_src_definition_has_a_src_caller():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
@@ -36,3 +61,13 @@ def test_every_src_definition_has_a_src_caller():
               for qualified, name in _definitions(module, tree)
               if name not in used and qualified not in ALLOWED]
     assert not unused, f"defined in src/fedembed but never used there: {unused}"
+
+
+def test_every_src_field_is_read():
+    trees = _trees()
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [qualified for module, tree in trees.items()
+              for qualified, name in _fields(module, tree)
+              if name not in read and qualified not in ALLOWED_FIELDS]
+    assert not unread, f"fields in src/fedembed that nothing there reads: {unread}"
