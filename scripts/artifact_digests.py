@@ -3,6 +3,7 @@
     python3 scripts/artifact_digests.py --out /tmp/digests-a > a.txt
     python3 scripts/artifact_digests.py --out /tmp/digests-b --seeds 0 1 2 > b.txt
     diff a.txt b.txt
+    python3 scripts/artifact_digests.py --out /tmp/digests-c --seeds 0 --against HEAD~1
 
 Runs, each into its own directory under `--out`:
 
@@ -25,8 +26,14 @@ Every train run is re-scored with `fedembed eval`, with the run's own
 (`<run>/eval.stdout`, `<run>/eval-all.stdout`), sorted, and an `exit=<code>`
 line for any command that did not exit 0. Two checkouts give byte-identical
 artifacts when their outputs are equal, so "same results" is one `diff`.
-It imports `fedembed` from this checkout's `src/`, and runs with BLAS and
-OpenMP at one thread, like the benchmark.
+It imports `fedembed` from this checkout's `src/` (or from `--src`), and runs
+with BLAS and OpenMP at one thread, like the benchmark.
+
+`--against REV` makes that comparison one command: it exports `src/` at the
+git revision REV, runs the same matrix with it in a child process (under
+`--out`/against), runs it with this checkout's `src/` (under `--out`/this),
+prints a unified diff of the two listings and this checkout's `exit=` lines,
+and exits 1 when there is either.
 """
 
 import os
@@ -36,16 +43,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import difflib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tarfile  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT))
 
-from fedembed.cli import main  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 SMALL = ("data.users=60", "data.items=120", "federation.rounds=5",
@@ -102,6 +111,7 @@ def sha256(data: bytes) -> str:
 
 def run(argv: list[str]) -> tuple[int, str]:
     """`fedembed <argv>` in this process; (exit code, stdout)."""
+    from fedembed.cli import main
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -135,21 +145,9 @@ def digest_run(name: str, argv: list[str], out_dir: Path, evaluate: bool,
     return lines
 
 
-def main_digests() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", required=True,
-                        help="a new or empty directory for the run directories")
-    parser.add_argument("--seeds", nargs="*", default=["0,1,2"],
-                        help="workload seeds, space- or comma-separated; none skips "
-                             "the workloads")
-    args = parser.parse_args()
-    out = Path(args.out)
-    if out.exists() and any(out.iterdir()):
-        parser.error(f"--out {out} must be a new or empty directory")
-    out.mkdir(parents=True, exist_ok=True)
-
+def listing(out: Path, seeds: list[int]) -> list[str]:
+    """Run the matrix under `out`; the sorted digest lines."""
     jobs = []   # (name, argv, evaluate, keep_stdout)
-    seeds = [int(s) for arg in args.seeds for s in arg.split(",") if s.strip()]
     for seed in seeds:
         for wl in WORKLOADS.values():
             name = f"{wl.name}-seed{seed}"
@@ -168,8 +166,54 @@ def main_digests() -> int:
     for name, argv, evaluate, keep_stdout in jobs:
         print(f"running {name}", file=sys.stderr)
         lines += digest_run(name, argv, out / name, evaluate, keep_stdout)
-    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
-    return 0
+    return sorted(lines, key=lambda line: line.split("  ", 1)[1])
+
+
+def listing_against(rev: str, out: Path, seeds: list[int]) -> list[str]:
+    """The listing of `src/` at git revision `rev`, run in a child process
+    with this script's matrix."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             check=True, capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        child = subprocess.run([sys.executable, __file__, "--src", f"{tmp}/src",
+                                "--out", str(out), "--seeds", *map(str, seeds)],
+                               check=True, stdout=subprocess.PIPE, text=True)
+    return child.stdout.splitlines()
+
+
+def main_digests() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True,
+                        help="a new or empty directory for the run directories")
+    parser.add_argument("--seeds", nargs="*", default=["0,1,2"],
+                        help="workload seeds, space- or comma-separated; none skips "
+                             "the workloads")
+    parser.add_argument("--src", default=str(ROOT / "src"),
+                        help="the directory to import fedembed from (default: this "
+                             "checkout's src/)")
+    parser.add_argument("--against", metavar="REV",
+                        help="diff this checkout's listing against that of src/ at REV")
+    args = parser.parse_args()
+    out = Path(args.out)
+    if out.exists() and any(out.iterdir()):
+        parser.error(f"--out {out} must be a new or empty directory")
+    out.mkdir(parents=True, exist_ok=True)
+    seeds = [int(s) for arg in args.seeds for s in arg.split(",") if s.strip()]
+    sys.path.insert(0, args.src)
+
+    if args.against is None:
+        print("\n".join(listing(out, seeds)))
+        return 0
+    theirs = listing_against(args.against, out / "against", seeds)
+    ours = listing(out / "this", seeds)
+    report = list(difflib.unified_diff(theirs, ours, args.against, "this checkout",
+                                       lineterm=""))
+    report += [line for line in ours if line.startswith("exit=")]
+    if report:
+        print("\n".join(report))
+    return 1 if report else 0
 
 
 if __name__ == "__main__":

@@ -169,8 +169,9 @@ def local_step(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
                rng: np.random.Generator | None = None, mode: str = "train") -> float:
     """One SGD step on user state, shared weights, and adapter parameters.
 
-    All gradients are taken at the current parameters, then applied together.
-    Returns the mean batch loss.
+    All gradients are taken at the current parameters, then applied together,
+    in place: the caller passes the client's private copies. Returns the mean
+    batch loss.
     """
     emb, a_cache = adapter.compose(base, items)
     logits, s_cache = score(backbone, state, emb, mode, rng)
@@ -179,15 +180,11 @@ def local_step(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
     grads = score_backward(backbone, state, s_cache, dlogits)
 
     a_grads = adapter.grads(a_cache, grads["emb"].astype(emb.dtype))
-    adapter.set_trainable(sgd_step(adapter.trainable(), a_grads, lr))
+    sgd_step(adapter.trainable(), a_grads, lr)
     if "user_emb" in grads:
-        state.embedding = sgd_step(state.embedding, grads["user_emb"], lr)
-    if "user_mlp" in grads:
-        wg, bg = grads["user_mlp"]
-        state.mlp.weights = sgd_step(state.mlp.weights, wg, lr)
-        state.mlp.biases = sgd_step(state.mlp.biases, bg, lr)
-    if "wg" in grads:
-        wg, bg = grads["wg"]
-        backbone.mlp.weights = sgd_step(backbone.mlp.weights, wg, lr)
-        backbone.mlp.biases = sgd_step(backbone.mlp.biases, bg, lr)
+        sgd_step(state.embedding, grads["user_emb"], lr)
+    for key, mlp in (("user_mlp", state.mlp), ("wg", backbone.mlp)):
+        if key in grads:
+            sgd_step(mlp.weights, grads[key][0], lr)
+            sgd_step(mlp.biases, grads[key][1], lr)
     return float(losses.mean())

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .backbones import BACKBONE_KINDS
+from .data import FEATURE_SOURCES, LOG_SOURCES
 from .privacy import DP_MODES, DpConfig
 from .strategies import STRATEGY_INITS, STRATEGY_KINDS, StrategyConfig
 
@@ -89,22 +90,23 @@ class ExperimentConfig:
     pretrain: PretrainSection = field(default_factory=PretrainSection)
 
     def validate(self) -> None:
-        if self.backbone not in BACKBONE_KINDS:
-            raise ConfigError(f"backbone: unknown value {self.backbone!r}")
-        if self.strategy.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"strategy.kind: unknown value {self.strategy.kind!r}")
-        if self.strategy.init not in STRATEGY_INITS:
-            raise ConfigError(f"strategy.init: unknown value {self.strategy.init!r}")
-        if not 0 < self.federation.sample_ratio <= 1:
-            raise ConfigError("federation.sample_ratio: must be in (0, 1]")
         if self.federation.aggregation == "delta":
             raise ConfigError("federation.aggregation: 'delta' is no longer supported; "
                               "it averaged the same values as 'mean', so use mean")
-        if self.federation.aggregation not in ("mean", "weighted"):
-            raise ConfigError(f"federation.aggregation: unknown value "
-                              f"{self.federation.aggregation!r}")
-        if self.dp.mode not in DP_MODES:
-            raise ConfigError(f"dp.mode: unknown value {self.dp.mode!r}")
+        for key, allowed in (("backbone", BACKBONE_KINDS), ("strategy.kind", STRATEGY_KINDS),
+                             ("strategy.init", STRATEGY_INITS), ("dp.mode", DP_MODES),
+                             ("federation.aggregation", ("mean", "weighted")),
+                             ("data.source", LOG_SOURCES),
+                             ("data.feature_source", FEATURE_SOURCES)):
+            _require(self, key, lambda v: v in allowed, f"one of {', '.join(allowed)}")
+        # the files a run reads; features are read only to pre-train
+        _require(self, "data.path", lambda v: v or self.data.source == "synthetic",
+                 f"a file path when data.source is {self.data.source}")
+        _require(self, "data.feature_path", lambda v: v or self.data.feature_source != "file"
+                 or not self.pretrain.enabled,
+                 "a file path when data.feature_source is file and pretrain.enabled")
+        if not 0 < self.federation.sample_ratio <= 1:
+            raise ConfigError("federation.sample_ratio: must be in (0, 1]")
         if self.dp.clip is not None and not self.dp.clip > 0:
             raise ConfigError(f"dp.clip: must be > 0, got {self.dp.clip}")
         self._validate_numbers()
@@ -144,6 +146,7 @@ class ExperimentConfig:
         _require(self, "eval.ks", lambda ks: ks and len(set(ks)) == len(ks) and min(ks) >= 1,
                  "a non-empty list of distinct cutoffs >= 1")
         _require(self, "eval.negatives", lambda v: v >= -1, ">= 0, or -1 for all items")
+        _require(self, "pretrain.hidden", lambda v: all(h >= 1 for h in v), "layer sizes >= 1")
 
     def to_text(self) -> str:
         """Canonical flat key=value dump (sorted); input format and hash basis.

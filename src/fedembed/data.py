@@ -15,6 +15,9 @@ import numpy as np
 from .numerics import kmeans
 from .rng import RngStream
 
+LOG_SOURCES = ("synthetic", "ml1m", "amazon_csv")   # synthesized, or `load_interactions` formats
+FEATURE_SOURCES = ("synthetic", "file")              # `build_item_features` sources
+
 
 @dataclass
 class InteractionLog:

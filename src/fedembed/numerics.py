@@ -177,22 +177,25 @@ def mlp_backward(model: Mlp, cache: MlpCache, output_grad: np.ndarray
     return w_grads, b_grads, g
 
 
-def sgd_step(params, grads, lr: float):
-    """p' = p - lr*g, elementwise; accepts one array or a list of arrays."""
+def sgd_step(params, grads, lr: float) -> None:
+    """p -= lr*g in place, elementwise; accepts one array or a list of arrays.
+    A read-only (frozen) array raises."""
     if lr <= 0:
         raise ValueError("lr must be positive")
     if isinstance(params, np.ndarray):
         grads = np.asarray(grads, dtype=params.dtype)
         if grads.shape != params.shape:
             raise ValueError(f"grad shape {grads.shape} != param shape {params.shape}")
-        return params - lr * grads
+        params -= lr * grads
+        return
     if len(params) != len(grads):
         raise ValueError("params and grads length mismatch")
-    return [sgd_step(p, g, lr) for p, g in zip(params, grads)]
+    for p, g in zip(params, grads):
+        sgd_step(p, g, lr)
 
 
-def kmeans(points: np.ndarray, k: int, iters: int = 10,
-           rng: np.random.Generator | None = None) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(points: np.ndarray, k: int, iters: int = 10, *,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm with deterministic lowest-index tie-breaking.
 
     Initial centroids are sampled without replacement from the points. If k
@@ -208,8 +211,6 @@ def kmeans(points: np.ndarray, k: int, iters: int = 10,
         raise ValueError("k must be >= 1")
     if not np.issubdtype(points.dtype, np.floating):
         points = points.astype(np.float64)
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     distinct = np.unique(points, axis=0)
     if k > distinct.shape[0]:

@@ -53,11 +53,6 @@ def _coders(features: np.ndarray, config: PretrainConfig, streams: RngStream, pr
     return x_all, encoder, decoder
 
 
-def _apply(model: Mlp, w_grads, b_grads, lr: float) -> None:
-    model.weights = sgd_step(model.weights, w_grads, lr)
-    model.biases = sgd_step(model.biases, b_grads, lr)
-
-
 def train_autoencoder(features: np.ndarray, config: PretrainConfig, streams: RngStream,
                       encoder: Mlp | None = None, decoder: Mlp | None = None,
                       ) -> tuple[np.ndarray, list[float]]:
@@ -84,8 +79,8 @@ def train_autoencoder(features: np.ndarray, config: PretrainConfig, streams: Rng
         g_out = (2.0 / len(idx)) * diff
         dec_wg, dec_bg, g_z = mlp_backward(decoder, dec_cache, g_out)
         enc_wg, enc_bg, _ = mlp_backward(encoder, enc_cache, g_z)
-        _apply(decoder, dec_wg, dec_bg, config.lr)
-        _apply(encoder, enc_wg, enc_bg, config.lr)
+        sgd_step([*decoder.params(), *encoder.params()], [*dec_wg, *dec_bg, *enc_wg, *enc_bg],
+                 config.lr)
 
     latents, _ = mlp_forward(encoder, x_all)
     return latents.astype(np.float32), losses
@@ -193,9 +188,8 @@ def train_rqvae(features: np.ndarray, config: PretrainConfig, streams: RngStream
         book_grad = np.zeros_like(model.codebooks)
         for j in range(model.codebooks.shape[0]):
             np.add.at(book_grad[j], codes[:, j], (-2.0 / b) * residuals[j + 1])
-        model.codebooks = sgd_step(model.codebooks, book_grad, config.lr)
-        _apply(decoder, dec_wg, dec_bg, config.lr)
-        _apply(encoder, enc_wg, enc_bg, config.lr)
+        sgd_step([model.codebooks, *decoder.params(), *encoder.params()],
+                 [book_grad, *dec_wg, *dec_bg, *enc_wg, *enc_bg], config.lr)
 
     return assign_codes(x_all, model), model
 

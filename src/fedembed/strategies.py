@@ -9,6 +9,11 @@ and ``serialize_upload`` produces the exact little-endian float32 byte
 payload a client would transmit. ``comm_cost`` predicts that payload size
 without building anything.
 
+The class attribute ``trained`` names the fields ``trainable()`` returns, in
+upload order; a field set to None is absent. Clients step private copies of
+them in place. The server installs a round's fold with ``set_trainable``, a
+rebind that refuses a read-only field: a frozen tensor is a read-only array.
+
 ``item_indexed`` names the positions in ``trainable()`` of tensors with one
 row per item. ``copy(rows)`` gives a client copy that holds only those rows
 of them: it takes local item ids ``0..len(rows)-1`` against the base rows
@@ -61,15 +66,40 @@ def _check_range(items: np.ndarray, n: int) -> None:
         raise IndexError(f"item id out of range [0, {n})")
 
 
+class Trained:
+    """`trainable`/`set_trainable` over the fields that `trained` names."""
+
+    trained: ClassVar[tuple[str, ...]] = ()
+
+    def trainable(self) -> list[np.ndarray]:
+        return [t for t in (getattr(self, name) for name in self.trained) if t is not None]
+
+    def set_trainable(self, tensors: list[np.ndarray]) -> None:
+        names = [name for name in self.trained if getattr(self, name) is not None]
+        if len(tensors) != len(names):
+            raise ValueError("tensor count mismatch")
+        new = []
+        for name, t in zip(names, tensors):
+            current = getattr(self, name)
+            if not current.flags.writeable:
+                raise RuntimeError(f"{type(self).__name__}.{name} is frozen (read-only)")
+            t = np.asarray(t, dtype=current.dtype)
+            if t.shape != current.shape:
+                raise ValueError(f"tensor shape {t.shape} != expected {current.shape}")
+            new.append(t)
+        for name, t in zip(names, new):
+            setattr(self, name, t)
+
+
 @dataclass
-class FullEmbeddingTable:
+class FullEmbeddingTable(Trained):
     """The n x k item embeddings: the base table, and also the adapter of
     the warm-up and of the full strategy, which train the table itself.
-    Bit-frozen once the warm-up ends."""
+    Bit-frozen once the warm-up ends: `freeze` makes the array read-only."""
 
     table: np.ndarray
-    frozen: bool = False
     kind: str = "full"
+    trained: ClassVar[tuple[str, ...]] = ("table",)
     item_indexed: ClassVar[tuple[int, ...]] = (0,)
 
     @property
@@ -77,7 +107,6 @@ class FullEmbeddingTable:
         return self.table.shape[0]
 
     def freeze(self) -> None:
-        self.frozen = True
         self.table.setflags(write=False)
 
     def compose(self, base: np.ndarray | None, items) -> tuple[np.ndarray, dict]:
@@ -90,14 +119,6 @@ class FullEmbeddingTable:
         np.add.at(d, cache["items"], g)
         return [d]
 
-    def trainable(self) -> list[np.ndarray]:
-        return [self.table]
-
-    def set_trainable(self, tensors: list[np.ndarray]) -> None:
-        if self.frozen:
-            raise RuntimeError("the base table is frozen")
-        (self.table,) = _match(self.trainable(), tensors)
-
     def copy(self, rows: np.ndarray | None = None) -> "FullEmbeddingTable":
         return FullEmbeddingTable(self.table.copy() if rows is None else self.table[rows])
 
@@ -107,7 +128,7 @@ FullAdapter = FullEmbeddingTable
 
 
 @dataclass
-class LoraAdapter:
+class LoraAdapter(Trained):
     """Low-rank correction: per-item vector a_i projected up by shared B.
 
     B starts exactly zero, so the composed embedding initially equals the
@@ -117,6 +138,7 @@ class LoraAdapter:
     a: np.ndarray   # (n, rank)
     b: np.ndarray   # (k, rank)
     kind: str = "lora"
+    trained: ClassVar[tuple[str, ...]] = ("a", "b")
     item_indexed: ClassVar[tuple[int, ...]] = (0,)
 
     @property
@@ -140,12 +162,6 @@ class LoraAdapter:
         db = g.T @ cache["a_rows"]
         return [da, db.astype(self.b.dtype, copy=False)]
 
-    def trainable(self) -> list[np.ndarray]:
-        return [self.a, self.b]
-
-    def set_trainable(self, tensors: list[np.ndarray]) -> None:
-        self.a, self.b = _match(self.trainable(), tensors)
-
     def copy(self, rows: np.ndarray | None = None) -> "LoraAdapter":
         return LoraAdapter(self.a.copy() if rows is None else self.a[rows], self.b.copy())
 
@@ -157,7 +173,7 @@ def hash_index(item_ids, a: int, b: int, p: int, d_h: int) -> np.ndarray:
 
 
 @dataclass
-class HashAdapter:
+class HashAdapter(Trained):
     """Shared d_H x k table addressed through h universal hash functions.
 
     Variant "mean" averages the h hashed vectors; variant "senet" reweights
@@ -176,6 +192,7 @@ class HashAdapter:
     w2: np.ndarray | None = None       # (h, h1)
     kind: str = "hash"
     ids: np.ndarray | None = None      # global id of each local item id
+    trained: ClassVar[tuple[str, ...]] = ("table", "w1", "w2")
     item_indexed: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
@@ -242,17 +259,6 @@ class HashAdapter:
         return [dtable, dw1.astype(self.w1.dtype, copy=False),
                 dw2.astype(self.w2.dtype, copy=False)]
 
-    def trainable(self) -> list[np.ndarray]:
-        if self.senet:
-            return [self.table, self.w1, self.w2]
-        return [self.table]
-
-    def set_trainable(self, tensors: list[np.ndarray]) -> None:
-        if self.senet:
-            self.table, self.w1, self.w2 = _match(self.trainable(), tensors)
-        else:
-            (self.table,) = _match(self.trainable(), tensors)
-
     def copy(self, rows: np.ndarray | None = None) -> "HashAdapter":
         return HashAdapter(self.table.copy(), self.hash_a.copy(), self.hash_b.copy(),
                            self.p,
@@ -262,12 +268,13 @@ class HashAdapter:
 
 
 @dataclass
-class RqVaeAdapter:
+class RqVaeAdapter(Trained):
     """Multi-level codebooks plus frozen per-item semantic codes."""
 
     codebooks: np.ndarray    # (l, d_R, k)
     codes: np.ndarray        # (n, l) int, immutable during federation
     kind: str = "rqvae"
+    trained: ClassVar[tuple[str, ...]] = ("codebooks",)
     item_indexed: ClassVar[tuple[int, ...]] = ()
 
     def __post_init__(self):
@@ -306,30 +313,12 @@ class RqVaeAdapter:
             np.add.at(d[j], item_codes[:, j], g)
         return [d]
 
-    def trainable(self) -> list[np.ndarray]:
-        return [self.codebooks]
-
-    def set_trainable(self, tensors: list[np.ndarray]) -> None:
-        (self.codebooks,) = _match(self.trainable(), tensors)
-
     def copy(self, rows: np.ndarray | None = None) -> "RqVaeAdapter":
         return RqVaeAdapter(self.codebooks.copy(),
                             self.codes if rows is None else self.codes[rows])
 
 
 Adapter = FullEmbeddingTable | LoraAdapter | HashAdapter | RqVaeAdapter
-
-
-def _match(current: list[np.ndarray], new: list[np.ndarray]) -> list[np.ndarray]:
-    if len(current) != len(new):
-        raise ValueError("tensor count mismatch")
-    out = []
-    for c, t in zip(current, new):
-        t = np.asarray(t, dtype=c.dtype)
-        if t.shape != c.shape:
-            raise ValueError(f"tensor shape {t.shape} != expected {c.shape}")
-        out.append(t)
-    return out
 
 
 def draw_hash_params(rng: np.random.Generator, h: int, p: int) -> tuple[np.ndarray, np.ndarray]:

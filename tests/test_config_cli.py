@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fedembed import federation
 from fedembed.cli import main
 from fedembed.config import GRIDS, ConfigError, ExperimentConfig, apply_setting, load_config
+from fedembed.data import FEATURE_SOURCES, LOG_SOURCES
 from fedembed.federation import Simulation
 from fedembed.pretrain import read_codes
 from fedembed.strategies import load_checkpoint
@@ -35,7 +36,9 @@ CHOICES = {"backbone": ("fedmf", "fedncf", "pfedrec"),
            "strategy.kind": ("full", "lora", "hash", "rqvae"),
            "strategy.init": ("zero", "base_distribution"),
            "federation.aggregation": ("mean", "weighted"),
-           "dp.mode": ("none", "ldp", "cdp")}
+           "dp.mode": ("none", "ldp", "cdp"),
+           "data.source": LOG_SOURCES,
+           "data.feature_source": FEATURE_SOURCES}
 # free-text values: nothing the key = value format treats specially
 TEXT = st.text(st.characters(blacklist_characters="#=",
                              blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")),
@@ -79,6 +82,10 @@ def valid_configs(draw) -> ExperimentConfig:
     s.p = s.d_h + draw(st.integers(0, 10**6))
     d.max_interactions = d.min_interactions + draw(st.integers(0, 100))
     d.items = d.item_clusters + draw(st.integers(0, 10**6))
+    if d.source != "synthetic":
+        d.path = draw(TEXT.filter(bool))
+    if d.feature_source == "file" and cfg.pretrain.enabled:
+        d.feature_path = draw(TEXT.filter(bool))
     cfg.validate()
     return cfg
 
@@ -234,6 +241,30 @@ class TestCliTrain:
         key = setting.partition("=")[0]
         assert f"config error: {key}: must be" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("setting, key", [
+        ("data.source=foo", "data.source"),
+        ("data.source=ml1m", "data.path"),
+        ("data.feature_source=file", "data.feature_path"),
+        ("data.feature_source=bogus", "data.feature_source"),
+        ("pretrain.hidden=0", "pretrain.hidden"),
+        ("pretrain.hidden=16,0", "pretrain.hidden"),
+    ])
+    def test_bad_source_or_layer_is_a_config_error_before_any_data(self, tmp_path, capsys,
+                                                                     monkeypatch, setting, key):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the log before the config was checked")
+
+        monkeypatch.setattr(federation, "load_log", refuse)
+        args = ["train", "--out-dir", str(tmp_path / "run")]
+        for s in BASE_SETTINGS + ["pretrain.enabled=true", setting]:
+            args += ["--set", s]
+        assert run_cli(*args) == 1
+        assert f"config error: {key}: must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_feature_path_is_needed_only_to_pretrain(self, tmp_path, capsys):
+        self._train(tmp_path, "--set", "data.feature_source=file")
 
     def test_log_without_test_users_fails_before_pretraining(self, tmp_path, capsys,
                                                               monkeypatch):

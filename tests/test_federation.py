@@ -171,6 +171,17 @@ def state_tensors(state):
     return [state.embedding] if state.embedding is not None else state.mlp.params()
 
 
+def server_state_bytes(sim):
+    """The bytes of everything the server holds: the round's tensors, the base
+    table, every user's state, and the codes or hash parameters."""
+    users = sim.user_states
+    arrays = round_snapshot(sim) + [sim.base.table]
+    arrays += [users.embedding] if users.embedding is not None else users.weights + users.biases
+    arrays += [getattr(sim.adapter, name) for name in ("codes", "hash_a", "hash_b")
+               if hasattr(sim.adapter, name)]
+    return [a.tobytes() for a in arrays]
+
+
 class TestClientRound:
     @pytest.mark.parametrize("backbone", ["fedmf", "fedncf", "pfedrec"])
     @pytest.mark.parametrize("kind,senet", [("full", False), ("lora", False),
@@ -199,6 +210,26 @@ class TestClientRound:
         if kind in ("full", "lora"):
             (rows, values), *_ = tensors
             assert 0 < len(rows) < sim.log.n_items and len(values) == len(rows)
+
+    @pytest.mark.parametrize("backbone", ["fedmf", "fedncf", "pfedrec"])
+    @pytest.mark.parametrize("kind,senet", [("full", False), ("lora", False),
+                                            ("hash", False), ("hash", True),
+                                            ("rqvae", False)])
+    def test_training_leaves_the_server_state_untouched(self, kind, senet, backbone):
+        # clients step their copies in place, so a live tensor handed to a
+        # client would move the server's state here
+        cfg = small_config(**{"strategy.kind": kind, "strategy.senet": senet,
+                              "backbone": backbone, "federation.warmup_rounds": 1,
+                              "federation.lr": 0.5, "federation.batch_size": 8})
+        sim = Simulation(cfg)
+        u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
+        for _ in range(2):            # a warm-up round, then an adapter round
+            sim._maybe_transition()
+            before = server_state_bytes(sim)
+            _, _, loss = sim._train(sim._plan(u, sim.round), round_snapshot(sim), sim.round)
+            assert np.isfinite(loss)
+            assert server_state_bytes(sim) == before
+            sim.run_round()
 
     def test_plan_draws_the_keyed_negatives_and_shuffle(self):
         cfg = small_config(**{"federation.local_epochs": 2, "federation.batch_size": 8})
@@ -340,7 +371,7 @@ class TestPhases:
         result = sim.run()
         peft_hashes = {r.base_hash for r in result.reports if r.phase == "peft"}
         assert len(peft_hashes) == 1
-        assert sim.base.frozen
+        assert not sim.base.table.flags.writeable
         # the frozen table is exactly the last warm-up aggregate
         warm_hashes = [r.base_hash for r in result.reports if r.phase == "warmup"]
         assert peft_hashes.pop() == warm_hashes[-1]
@@ -367,7 +398,7 @@ class TestPhases:
     def test_full_strategy_never_freezes(self):
         sim = Simulation(small_config(**{"strategy.kind": "full"}))
         sim.run()
-        assert not sim.base.frozen
+        assert sim.base.table.flags.writeable
         assert all(r.phase == "warmup" for r in sim.reports)
 
 

@@ -140,29 +140,45 @@ class TestBackward:
 class TestSgd:
     def test_scalar_case(self):
         p = np.array([1.0])
-        assert sgd_step(p, np.array([0.5]), 0.1)[0] == pytest.approx(0.95)
+        assert sgd_step(p, np.array([0.5]), 0.1) is None
+        assert p[0] == pytest.approx(0.95)
 
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(sgd_step(p, np.zeros(3), 0.1), p)
+        sgd_step(p, np.zeros(3), 0.1)
+        assert np.array_equal(p, [1.0, -2.0, 3.0])
 
     def test_vector_matches_elementwise_scalars(self, rng):
         p = rng.normal(0, 1, 6)
         g = rng.normal(0, 1, 6)
-        stepped = sgd_step(p, g, 0.05)
+        before = p.copy()
+        sgd_step(p, g, 0.05)
         for i in range(6):
-            assert stepped[i] == pytest.approx(p[i] - 0.05 * g[i])
+            assert p[i] == pytest.approx(before[i] - 0.05 * g[i])
+
+    def test_steps_in_place_with_the_rebinding_bits(self, rng):
+        p = rng.normal(0, 1, (3, 4)).astype(np.float32)
+        g = rng.normal(0, 1, (3, 4))          # cast to the parameter's dtype first
+        want = p - 0.05 * g.astype(np.float32)
+        sgd_step(p, g, 0.05)
+        assert p.dtype == np.float32 and p.tobytes() == want.tobytes()
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
             sgd_step(np.zeros(3), np.zeros(4), 0.1)
 
+    def test_read_only_array_raises(self):
+        p = np.ones(3)
+        p.setflags(write=False)
+        with pytest.raises(ValueError, match="read-only"):
+            sgd_step(p, np.ones(3), 0.1)
+
     def test_list_of_tensors(self):
         params = [np.ones((2, 2)), np.ones(2)]
         grads = [np.full((2, 2), 2.0), np.full(2, 4.0)]
-        new = sgd_step(params, grads, 0.25)
-        assert np.allclose(new[0], 0.5)
-        assert np.allclose(new[1], 0.0)
+        sgd_step(params, grads, 0.25)
+        assert np.allclose(params[0], 0.5)
+        assert np.allclose(params[1], 0.0)
 
 
 def _objective(points, centroids, assignments):

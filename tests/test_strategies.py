@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, relative_error
+from fedembed.numerics import sgd_step
 from fedembed.rng import RngStream
 from fedembed.strategies import (FullAdapter, FullEmbeddingTable, HashAdapter,
                                  LoraAdapter, RqVaeAdapter, comm_cost, hash_index,
@@ -366,9 +367,11 @@ class TestFreezeDiscipline:
         base.freeze()
         with pytest.raises(ValueError):
             base.table[0, 0] = 1.0
-        # nor can it be replaced as the warm-up's trainable tensor
+        # nor can it be replaced as the warm-up's trainable tensor, or stepped
         with pytest.raises(RuntimeError, match="frozen"):
             base.set_trainable([table + 1])
+        with pytest.raises(ValueError, match="read-only"):
+            sgd_step(base.trainable(), [np.ones_like(table)], 0.1)
 
     def test_out_of_range_codes_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
