@@ -105,10 +105,6 @@ class ExperimentConfig:
         _require(self, "data.feature_path", lambda v: v or self.data.feature_source != "file"
                  or not self.pretrain.enabled,
                  "a file path when data.feature_source is file and pretrain.enabled")
-        if not 0 < self.federation.sample_ratio <= 1:
-            raise ConfigError("federation.sample_ratio: must be in (0, 1]")
-        if self.dp.clip is not None and not self.dp.clip > 0:
-            raise ConfigError(f"dp.clip: must be > 0, got {self.dp.clip}")
         self._validate_numbers()
         if self.unsafe:
             return
@@ -139,6 +135,8 @@ class ExperimentConfig:
         _require(self, "strategy.p", lambda v: self.strategy.d_h <= v < 2**32,
                  f">= strategy.d_h ({self.strategy.d_h}) and < 2**32")
         _require(self, "data.affinity", lambda v: 0 <= v <= 1, "in [0, 1]")
+        _require(self, "federation.sample_ratio", lambda v: 0 < v <= 1, "in (0, 1]")
+        _require(self, "dp.clip", lambda v: v is None or v > 0, "> 0, or empty for none")
         _require(self, "data.min_interactions", lambda v: v <= self.data.max_interactions,
                  f"<= data.max_interactions ({self.data.max_interactions})")
         _require(self, "data.item_clusters", lambda v: v <= self.data.items,

@@ -172,8 +172,8 @@ def attach_eval_negatives(split: EvalSplit, count: int, streams: RngStream) -> N
 
 
 def load_item_features(path: str | Path, log: InteractionLog) -> np.ndarray:
-    """Read `item_id<TAB>v1,v2,...` lines; every item must have one vector.
-    Returns the (n_items, k_p) float32 features."""
+    """Read `item_id<TAB>v1,v2,...` lines; every item must have one vector,
+    and every value must be finite. Returns the (n_items, k_p) float32 features."""
     i_map = {orig: d for d, orig in enumerate(log.item_ids)}
     rows: dict[int, np.ndarray] = {}
     dim = None
@@ -187,6 +187,8 @@ def load_item_features(path: str | Path, log: InteractionLog) -> np.ndarray:
                 vec = np.array([float(v) for v in values.split(",")], dtype=np.float32)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            if not np.isfinite(vec).all():
+                raise FormatError(f"{path}:{lineno}: non-finite feature value")
             if item_id not in i_map:
                 continue
             if dim is None:
@@ -230,8 +232,6 @@ def synthetic_item_features(log: InteractionLog, k_p: int, seed: int,
 def build_item_features(log: InteractionLog, source: str, *, path: str | Path | None = None,
                         k_p: int = 768, seed: int = 0) -> np.ndarray:
     if source == "file":
-        if path is None:
-            raise ValueError("file source requires a path")
         return load_item_features(path, log)
     if source == "synthetic":
         return synthetic_item_features(log, k_p, seed)

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,7 +35,7 @@ from .config import ExperimentConfig
 from .data import (EvalSplit, InteractionLog, attach_eval_negatives, build_item_features,
                    choice_excluding, leave_one_out_split, load_interactions,
                    synthesize_interactions)
-from .numerics import init_uniform
+from .numerics import check_finite, init_uniform
 from .pretrain import PretrainConfig, train_autoencoder, train_rqvae
 from .privacy import apply_cdp, apply_ldp, clip_update
 from .rng import RngStream
@@ -93,10 +94,9 @@ class ClientPlan(NamedTuple):
 
 def select_clients(n_users: int, ratio: float, streams: RngStream,
                    round_idx: int) -> np.ndarray:
-    """ceil(ratio * n_users) distinct ids, uniform, keyed by round."""
-    if not 0 < ratio <= 1:
-        raise ValueError("sample ratio must be in (0, 1]")
-    count = math.ceil(ratio * n_users)
+    """ceil(ratio * n_users) distinct ids, uniform, keyed by round; the count is
+    exact for the decimal `ratio` prints as (0.07 of 100 is 7, not 8)."""
+    count = math.ceil(Fraction(str(ratio)) * n_users)
     rng = streams.generator("select", round_idx)
     return np.sort(rng.choice(n_users, size=count, replace=False))
 
@@ -331,9 +331,10 @@ class Simulation:
         tensors = [RowUpload(plan.rows, t) if i in self.adapter.item_indexed else t
                    for i, t in enumerate(adapter.trainable() + _backbone_tensors(backbone))]
         for t in tensors:
-            if not np.all(np.isfinite(t.values if isinstance(t, RowUpload) else t)):
-                raise FloatingPointError(
-                    f"non-finite client update at round {round_idx} (client {u})")
+            check_finite(t.values if isinstance(t, RowUpload) else t,
+                         "the upload of client %d at round %d", u, round_idx)
+        for t in [state.embedding] if state.mlp is None else state.mlp.params():
+            check_finite(t, "the private state of client %d at round %d", u, round_idx)
         if dp.clip is not None:
             # a row upload's update is zero off its rows
             tensors = [RowUpload(t.rows, clip_update(t.values, snap[t.rows], dp.clip))
@@ -370,8 +371,7 @@ class Simulation:
             agg = apply_cdp(agg, self.config.dp, self.streams.generator("dp_server", round_idx))
 
         for t in agg:
-            if not np.all(np.isfinite(t)):
-                raise FloatingPointError(f"non-finite aggregate at round {round_idx}")
+            check_finite(t, "the fold of round %d", round_idx)
         self.adapter.set_trainable(agg[:n_adapter])
         _install_backbone(self.backbone, agg[n_adapter:])
         for plan, (_, state, _) in zip(plans, results):
@@ -445,7 +445,8 @@ def save_sim_state(sim: Simulation, out_dir: str | Path) -> None:
 
 def load_sim_state(run_dir: str | Path) -> SavedState:
     """Read back what `save_sim_state` wrote; `Simulation(config, saved=...)`
-    rebuilds the simulation from it."""
+    rebuilds the simulation from it. A NaN or infinity in a `sim_state.npz`
+    array raises a `FloatingPointError` naming its key."""
     run_dir = Path(run_dir)
     from .strategies import load_checkpoint
     base, adapter = load_checkpoint(run_dir / "embedding.fpeb")
@@ -453,6 +454,8 @@ def load_sim_state(run_dir: str | Path) -> SavedState:
         base.freeze()
     with np.load(run_dir / "sim_state.npz") as data:
         arrays = dict(data)
+    for key, values in arrays.items():
+        check_finite(values, "sim_state.npz array %s", key)
 
     def layers(prefix: str) -> list[np.ndarray]:
         return [arrays[f"{prefix}{l}"]

@@ -19,15 +19,11 @@ def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
 
 
 def hr_at_k(rank: int, k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return 1.0 if rank <= k else 0.0
 
 
 def ndcg_at_k(rank: int, k: int) -> float:
     """Single-relevant-item NDCG: the ideal DCG is 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     return 1.0 / math.log2(rank + 1) if rank <= k else 0.0
 
 

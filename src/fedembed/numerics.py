@@ -16,9 +16,10 @@ import numpy as np
 ACTIVATIONS = ("relu", "sigmoid", "identity")
 
 
-def check_finite(x: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"non-finite values in {what}")
+def check_finite(x: np.ndarray, where: str, *args) -> None:
+    """Raise a `FloatingPointError` naming `where % args`, formatted only on failure."""
+    if not np.isfinite(x).all():
+        raise FloatingPointError(f"non-finite values in {where % args}")
 
 
 def init_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -115,7 +116,6 @@ def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
     x = np.asarray(x)
-    check_finite(x, "mlp input")
     if x.ndim != 2:
         raise ValueError(f"mlp input must be (batch, {model.in_dim}), got shape {x.shape}")
     if x.shape[1] != model.in_dim:
@@ -180,8 +180,6 @@ def mlp_backward(model: Mlp, cache: MlpCache, output_grad: np.ndarray
 def sgd_step(params, grads, lr: float) -> None:
     """p -= lr*g in place, elementwise; accepts one array or a list of arrays.
     A read-only (frozen) array raises."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
     if isinstance(params, np.ndarray):
         grads = np.asarray(grads, dtype=params.dtype)
         if grads.shape != params.shape:

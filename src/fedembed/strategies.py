@@ -382,11 +382,8 @@ def make_adapter(kind: str, n_items: int, k: int, streams: RngStream, *,
 def serialize_upload(adapter: Adapter) -> bytes:
     """Little-endian float32 bytes of all trainable parameters, in the fixed
     per-strategy tensor order."""
-    parts = []
-    for t in adapter.trainable():
-        check_finite(t, "upload tensor")
-        parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
-    return b"".join(parts)
+    return b"".join(np.ascontiguousarray(t, dtype="<f4").tobytes()
+                    for t in adapter.trainable())
 
 
 def comm_cost(kind: str, n_items: int, k: int, **settings) -> int:
@@ -459,7 +456,8 @@ def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
     """Read what `save_checkpoint` wrote; a `full` checkpoint's table is its
     own adapter, so it comes back as the same object twice. A truncated
     section, trailing bytes, and hash parameters or codes out of range
-    (checked by the adapters) raise a `ValueError` that names the section."""
+    (checked by the adapters) raise a `ValueError` that names the section, and
+    a NaN or infinity in the base table or adapter a `FloatingPointError`."""
     buf = Path(path).read_bytes()
     if buf[:4] != _MAGIC:
         raise ValueError("not an embedding checkpoint (bad magic)")
@@ -481,8 +479,10 @@ def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
                              dtype="<u4").reshape(shape).astype(np.int64)
 
     def f4(section: str, *shape: int) -> np.ndarray:
-        return np.frombuffer(take(section, 4 * math.prod(shape)),
-                             dtype="<f4").reshape(shape).copy()
+        values = np.frombuffer(take(section, 4 * math.prod(shape)),
+                               dtype="<f4").reshape(shape).copy()
+        check_finite(values, "the checkpoint's %s", section)
+        return values
 
     version, tag = ints("header", "<HB")
     if version != _VERSION:

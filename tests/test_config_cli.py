@@ -1,4 +1,5 @@
 import json
+import struct
 from dataclasses import fields
 
 import numpy as np
@@ -232,6 +233,8 @@ class TestCliTrain:
         "federation.lr=-1", "federation.lr=nan", "eval.ks=0", "user_scale=-1",
         "data.users=0", "data.min_interactions=50", "k=0", "strategy.p=4294967296",
         "eval.every=0", "eval.every=-1", "eval.ks=", "eval.ks=10,10,5",
+        "dp.mode=both", "dp.delta=-1", "federation.sample_ratio=0",
+        "federation.sample_ratio=1.5", "pretrain.lr=0",
     ])
     def test_bad_number_is_a_config_error_naming_the_key(self, tmp_path, capsys, setting):
         args = ["train", "--out-dir", str(tmp_path / "run")]
@@ -338,6 +341,31 @@ class TestCliEval:
         assert dict(row.split(",") for row in rows) == {k: f"{v:.2f}" for k, v in final.items()}
         assert run_cli("eval", str(out), "--set", "eval.negatives=-1") == 0
 
+
+    @pytest.mark.parametrize("backbone, key, where", [
+        ("fedmf", None, "the checkpoint's adapter"),
+        ("pfedrec", "user_w0", "sim_state.npz array user_w0"),
+        ("fedncf", "user_emb", "sim_state.npz array user_emb"),
+    ])
+    def test_eval_rejects_a_non_finite_saved_value(self, tmp_path, capsys, backbone, key,
+                                                   where):
+        out = tmp_path / "run"
+        args = ["train", "--out-dir", str(out)]
+        for s in BASE_SETTINGS + [f"backbone={backbone}"]:
+            args += ["--set", s]
+        assert run_cli(*args) == 0
+        capsys.readouterr()
+        if key is None:
+            # the last float of a lora checkpoint is the last entry of its B factor
+            path = out / "embedding.fpeb"
+            path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+        else:
+            with np.load(out / "sim_state.npz") as data:
+                arrays = dict(data)
+            arrays[key].flat[-1] = np.nan
+            np.savez(out / "sim_state.npz", **arrays)
+        assert run_cli("eval", str(out)) == 2
+        assert f"non-finite values in {where}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting, message", [
         ("data.items=30", "saved item table has 24 items, the interaction log 30"),

@@ -225,6 +225,14 @@ class TestItemFeatures:
         with pytest.raises(FormatError, match="missing"):
             build_item_features(log, "file", path=write(tmp_path, "f.tsv", "0\t1.0,2.0\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        log = load_interactions(
+            write(tmp_path, "l.dat", "0::0::5::1\n0::1::5::2\n"), "ml1m")
+        path = write(tmp_path, "f.tsv", f"0\t1.0,2.0\n1\t3.0,{value}\n")
+        with pytest.raises(FormatError, match=r"f\.tsv:2: non-finite"):
+            build_item_features(log, "file", path=path)
+
     def test_synthetic_deterministic(self):
         log = synthesize_interactions(40, 25, seed=11)
         a = build_item_features(log, "synthetic", k_p=32, seed=2)

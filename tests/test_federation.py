@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedembed import privacy
@@ -61,9 +61,14 @@ class TestSelectClients:
     def test_ceil_rounding(self):
         assert len(select_clients(15, 0.10, RngStream(0), 0)) == 2
 
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            select_clients(10, 0.0, RngStream(0), 0)
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100), st.integers(1, 5000))
+    # 0.07 * 100 and 0.14 * 50 are both 7.000000000000001 in floats
+    @example(7, 100)
+    @example(14, 50)
+    def test_count_is_the_ceiling_of_the_decimal_product(self, percent, n):
+        got = select_clients(n, percent / 100, RngStream(0), 0)
+        assert len(got) == -(-percent * n // 100)
 
 
 class TestAggregate:
@@ -229,6 +234,17 @@ class TestClientRound:
             _, _, loss = sim._train(sim._plan(u, sim.round), round_snapshot(sim), sim.round)
             assert np.isfinite(loss)
             assert server_state_bytes(sim) == before
+            sim.run_round()
+
+    def test_non_finite_private_state_names_client_and_round(self):
+        # the table and its uploaded rows stay finite; the user embeddings
+        # overflow, and would otherwise score every test item last
+        cfg = small_config(**{"strategy.kind": "full", "federation.sample_ratio": 1.0,
+                              "federation.local_epochs": 1, "federation.lr": 100.0})
+        sim = Simulation(cfg)
+        sim.base.table[:] = 1e37
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"private state of client \d+ at round 0"):
             sim.run_round()
 
     def test_plan_draws_the_keyed_negatives_and_shuffle(self):

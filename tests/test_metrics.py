@@ -55,12 +55,6 @@ class TestPointMetrics:
         assert hr_at_k(11, 10) == 0.0
         assert ndcg_at_k(11, 10) == 0.0
 
-    def test_invalid_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            hr_at_k(1, 0)
-        with pytest.raises(ValueError):
-            ndcg_at_k(1, 0)
-
 
 def _sim_parts(seed=0, users=30, items=25):
     log = synthesize_interactions(users, items, seed=seed)

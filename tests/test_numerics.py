@@ -49,11 +49,6 @@ class TestForward:
         with pytest.raises(ValueError, match=r"must be \(batch, 4\), got shape \(4,\)"):
             mlp_forward(m, np.zeros(4))
 
-    def test_non_finite_input_raises(self):
-        m = _mlp([np.zeros((3, 4))], [np.zeros(3)], ["relu"])
-        with pytest.raises(ValueError, match="non-finite"):
-            mlp_forward(m, np.array([1.0, np.nan, 0.0, 0.0]))
-
     def test_inconsistent_layer_dims_rejected(self):
         with pytest.raises(ValueError, match="output dim"):
             _mlp([np.zeros((3, 4)), np.zeros((2, 5))],

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from fedembed.privacy import DpConfig, apply_cdp, apply_ldp, clip_update, laplace_noise
 from fedembed.rng import RngStream
@@ -9,10 +8,6 @@ class TestLaplaceNoise:
     def test_zero_scale_gives_exact_zeros(self):
         noise = laplace_noise((100,), 0.0, np.random.default_rng(0))
         assert not noise.any()
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError):
-            laplace_noise((4,), -0.1, np.random.default_rng(0))
 
     def test_variance_matches_two_delta_squared(self):
         delta = 0.1
@@ -88,9 +83,3 @@ class TestApply:
         assert np.allclose(out, 3.25)
         small = snapshot + np.float32(0.2)
         assert clip_update(small, snapshot, 1.0) is small
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            DpConfig(mode="both")
-        with pytest.raises(ValueError):
-            DpConfig(mode="ldp", delta=-1.0)

@@ -268,12 +268,6 @@ class TestSerialization:
         adapter.set_trainable(tensors)
         assert serialize_upload(adapter) == payload
 
-    def test_non_finite_upload_rejected(self):
-        adapter = make_adapter("lora", 5, 4, RngStream(0), rank=2)
-        adapter.a[0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            serialize_upload(adapter)
-
 
 class TestCommCost:
     def test_matches_actual_payload_for_random_configs(self):

@@ -71,3 +71,35 @@ def test_every_src_field_is_read():
               for qualified, name in _fields(module, tree)
               if name not in read and qualified not in ALLOWED_FIELDS]
     assert not unread, f"fields in src/fedembed that nothing there reads: {unread}"
+
+
+# where a value enters the program: files read back, a client's update and
+# private state, the fold, the pre-training losses, and config values
+FINITENESS_DOORS = {
+    "strategies.load_checkpoint", "federation.load_sim_state", "data.load_item_features",
+    "federation.Simulation._train", "federation.Simulation.run_round",
+    "pretrain.train_autoencoder", "pretrain.train_rqvae",
+    "config.ExperimentConfig._validate_numbers",
+    "numerics.check_finite",               # the helper itself
+}
+
+
+def _calls(node: ast.AST, scope: str):
+    """(qualified name of the enclosing definition, called name) of each call under `node`."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        elif isinstance(child, ast.Call):
+            func = child.func
+            yield scope, getattr(func, "id", getattr(func, "attr", None))
+        yield from _calls(child, inner)
+
+
+def test_finiteness_is_checked_only_at_the_doors():
+    stray = sorted({scope for module, tree in _trees().items()
+                    for scope, name in _calls(tree, module)
+                    if name in ("check_finite", "isfinite")
+                    and not any(scope == door or scope.startswith(door + ".")
+                                for door in FINITENESS_DOORS)})
+    assert not stray, f"finiteness checked outside the doors, in: {stray}"
