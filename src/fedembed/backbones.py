@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Mlp, init_uniform, mlp_backward, mlp_forward, relu_layers, sgd_step
+from .numerics import (Mlp, init_uniform, mlp_backward, mlp_forward, relu_layers, sgd_step,
+                       sigmoid)
 from .rng import RngStream
 
 BACKBONE_KINDS = ("fedmf", "fedncf", "pfedrec")
@@ -160,7 +161,7 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
     s = np.asarray(logits, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     losses = np.maximum(s, 0) - s * y + np.log1p(np.exp(-np.abs(s)))
-    grads = 1.0 / (1.0 + np.exp(-s)) - y
+    grads = sigmoid(s) - y
     return losses, grads
 
 

@@ -90,9 +90,6 @@ class ExperimentConfig:
     pretrain: PretrainSection = field(default_factory=PretrainSection)
 
     def validate(self) -> None:
-        if self.federation.aggregation == "delta":
-            raise ConfigError("federation.aggregation: 'delta' is no longer supported; "
-                              "it averaged the same values as 'mean', so use mean")
         for key, allowed in (("backbone", BACKBONE_KINDS), ("strategy.kind", STRATEGY_KINDS),
                              ("strategy.init", STRATEGY_INITS), ("dp.mode", DP_MODES),
                              ("federation.aggregation", ("mean", "weighted")),

@@ -9,8 +9,9 @@ order in which clients are trained.
 A client trains only the item rows it touches: the positives and negatives
 of all its local epochs, drawn by `_plan` before `_train` runs. Item-indexed
 tensors go up as `RowUpload`s of those rows; every other tensor goes up
-whole. The server folds the uploads into one float64 running sum per tensor,
-so it never holds one dense table per client unless local DP densified them.
+whole. The fold is the round's snapshot plus each client's weighted change:
+a row upload costs O(rows * k), a row that no client uploads keeps its bytes,
+and the server holds no dense table per client unless local DP made one.
 Each client is still charged the paper's dense payload. Every sampled client
 takes the same path, so one with no training positives or no local epoch
 uploads an empty row set that is clipped and noised like any other.
@@ -103,15 +104,14 @@ def select_clients(n_users: int, ratio: float, streams: RngStream,
 
 def aggregate(uploads: list[list[Upload]], snapshot: list[np.ndarray],
               weights: np.ndarray | None = None) -> list[np.ndarray]:
-    """Positionwise weighted mean of client uploads (FedAvg).
+    """Positionwise weighted mean of client uploads (FedAvg), in delta form.
 
     snapshot: the round's starting tensors, which a `RowUpload` keeps off its
     rows, and whose dtypes the output takes. weights: optional, normalized here.
 
-    Each position is folded client by client into a float64 sum starting at
-    +0.0, which is bit for bit what summing the stacked float64 products
-    over the client axis gives. Size-1 tensors are the exception: numpy
-    reduces a stacked (C, 1) array pairwise, so those are summed that way.
+    Each position starts as a float64 copy of the snapshot; each client in
+    turn adds its weighted change `w * (values - snapshot[rows])` on its own
+    rows, on every row for a dense upload.
     """
     if not uploads:
         raise ValueError("no updates to aggregate")
@@ -125,24 +125,12 @@ def aggregate(uploads: list[list[Upload]], snapshot: list[np.ndarray],
         w = weights / weights.sum()
     out = []
     for pos, snap in enumerate(snapshot):
-        entries = [client[pos] for client in uploads]
-        if snap.size == 1:
-            products = [wc * densify(e, snap) for wc, e in zip(w, entries)]
-            out.append(np.sum(np.stack(products), axis=0).astype(snap.dtype))
-            continue
-        acc = np.zeros(snap.shape)
-        scaled_w, scaled = None, None
-        for wc, e in zip(w, entries):
+        acc = snap.astype(np.float64)
+        for wc, e in zip(w, [client[pos] for client in uploads]):
             if isinstance(e, RowUpload):
-                # one scaled snapshot while the weight repeats (always, for
-                # uniform weights), not one per distinct weight
-                if wc != scaled_w:
-                    scaled_w, scaled = wc, wc * snap
-                saved = acc[e.rows]
-                acc += scaled
-                acc[e.rows] = saved + wc * e.values
+                acc[e.rows] += wc * (e.values - snap[e.rows])
             else:
-                acc += wc * e
+                acc += wc * (e - snap)
         out.append(acc.astype(snap.dtype))
     return out
 

@@ -11,11 +11,9 @@ from .data import EvalSplit
 
 
 def rank_from_scores(test_score: float, negative_scores: np.ndarray) -> int:
-    """1 + number of higher-scoring candidates; ties count against the test
-    item (pessimistic)."""
-    higher = int((negative_scores > test_score).sum())
-    tied = int((negative_scores == test_score).sum())
-    return 1 + higher + tied
+    """1 + number of candidates not scored below the test item: ties and NaN
+    candidates count against it (pessimistic), and a NaN test score ranks last."""
+    return 1 + int((~(negative_scores < test_score)).sum())
 
 
 def hr_at_k(rank: int, k: int) -> float:

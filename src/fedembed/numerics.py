@@ -40,11 +40,18 @@ def relu_layers(n_layers: int) -> list[str]:
     return ["relu"] * (n_layers - 1) + ["identity"]
 
 
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)). Far below zero exp(-z) overflows to inf, and the
+    value is the exact limit 0, so the overflow is not warned about."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def _act(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return sigmoid(z)
     if name == "identity":
         return z
     raise ValueError(f"unknown activation {name!r}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,12 @@ class TestBceLoss:
         assert np.isfinite(losses).all() and np.isfinite(grads).all()
         big, _ = bce_loss(np.array([700.0]), np.array([0.0]))
         assert np.isfinite(big).all()
+
+    def test_far_negative_logit_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses, grads = bce_loss(np.array([-800.0]), np.array([0.0]))
+        assert losses[0] == 0.0 and grads[0] == 0.0
 
     def test_gradient_matches_finite_differences(self):
         for s0 in np.arange(-3.0, 3.5, 1.0):

@@ -155,8 +155,9 @@ class TestConfig:
         p.write_text(ExperimentConfig().to_text(), encoding="utf-8")
         assert load_config(p).dp.clip is None      # unset is written as empty
 
-    def test_delta_aggregation_is_a_config_error_suggesting_mean(self):
-        with pytest.raises(ConfigError, match=r"federation\.aggregation.*use mean"):
+    def test_delta_aggregation_is_outside_the_vocabulary(self):
+        with pytest.raises(ConfigError, match=r"^federation\.aggregation: must be one of "
+                                              r"mean, weighted, got 'delta'$"):
             load_config(None, overrides=["federation.aggregation=delta"]).validate()
 
     @given(valid_configs())

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedembed.backbones import Backbone, UserState, make_backbone, make_user_state
 from fedembed.data import attach_eval_negatives, leave_one_out_split, synthesize_interactions
@@ -31,6 +33,21 @@ class TestRank:
             r2 = rank_from_scores(math.tanh(t) if False else 3.0 * t + 1.0,
                                   3.0 * s + 1.0)
             assert r1 == r2
+
+    def test_nan_test_score_ranks_last(self):
+        assert rank_from_scores(float("nan"), np.zeros(99)) == 100
+
+    def test_nan_candidates_count_against_the_test_item(self):
+        assert rank_from_scores(0.0, np.full(99, np.nan)) == 100
+        assert rank_from_scores(0.0, np.array([np.nan, -1.0, 1.0])) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-3, 3), st.lists(st.integers(-3, 3), max_size=120))
+    def test_finite_rank_is_one_plus_higher_plus_tied(self, test, negatives):
+        s = np.array(negatives, dtype=np.float32)
+        higher = int((s > test).sum())
+        tied = int((s == test).sum())
+        assert rank_from_scores(float(test), s) == 1 + higher + tied
 
     def test_random_scores_hr10_near_one_tenth(self):
         # held-out item uniform among 100 candidates -> P(rank <= 10) = 0.10
@@ -138,6 +155,19 @@ class TestEvaluate:
         evaluate(bb2, states2, adapter, base, split, ks=(10, 20))
         assert digest() == before
 
+    def test_overflowing_scores_rank_last(self):
+        # finite parameters whose float32 dot product is inf - inf = nan; every
+        # user has all 10 negatives, so the nan test item ranks 11th
+        log, split, base, adapter, bb, states = _sim_parts(seed=2, items=200)
+        adapter.table[:] = 0.0
+        adapter.table[:, :2] = 1e38
+        for s in states.values():
+            s.embedding[:] = 0.0
+            s.embedding[:2] = [1e38, -1e38]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = evaluate(bb, states, adapter, adapter.table, split, ks=(10,))
+        assert got == {"n@10": 0.0, "h@10": 0.0}
+
     def test_missing_candidates_rejected(self):
         log, split, base, adapter, bb, states = _sim_parts(seed=2)
         split.negatives.clear()
@@ -175,3 +205,13 @@ class TestTopK:
         lists = top_k_items(bb, state, adapter, adapter.table,
                             np.array([1]), 6, 3)
         assert lists.tolist() == [0, 2, 3]   # lowest ids win ties
+
+    def test_nan_scores_come_last(self):
+        adapter = make_adapter("full", 6, 2, RngStream(0))
+        adapter.table[:] = [[1.0, 0.0], [1e38, 1e38], [3.0, 0.0], [2.0, 0.0],
+                            [1e38, 1e38], [0.5, 0.0]]
+        state = UserState(embedding=np.array([1e38, -1e38], dtype=np.float32))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lists = top_k_items(Backbone("fedmf"), state, adapter, adapter.table,
+                                np.array([], dtype=np.int64), 6, 6)
+        assert lists.tolist() == [2, 3, 0, 5, 1, 4]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,14 @@ class TestForward:
                  [np.zeros(3), np.zeros(2)], ["relu", "sigmoid"])
         out, _ = mlp_forward(m, np.array([[0.3, -1.0, 2.0, 0.7]]))
         assert np.array_equal(out, np.full((1, 2), 0.5))
+
+    @pytest.mark.parametrize("dtype,z", [(np.float64, -800.0), (np.float32, -100.0)])
+    def test_sigmoid_far_below_zero_is_zero_without_warning(self, dtype, z):
+        m = Mlp([np.eye(1, dtype=dtype)], [np.zeros(1, dtype=dtype)], ["sigmoid"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = mlp_forward(m, np.array([[z]], dtype=dtype))
+        assert out[0, 0] == 0.0
 
     def test_identity_weights_relu(self):
         m = _mlp([np.eye(2)], [np.zeros(2)], ["relu"])
