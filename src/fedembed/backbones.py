@@ -113,14 +113,20 @@ def make_user_state(kind: str, k: int, user: int, streams: RngStream,
     raise ValueError(f"unknown backbone {kind!r}")
 
 
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(..., p, q) @ (..., q) -> (..., p); one client's `m @ v` as it always was."""
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+
+
 def score(backbone: Backbone, state: UserState, emb: np.ndarray, mode: str = "eval",
           rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict]:
-    """Logits for a batch of composed item embeddings."""
+    """Logits for a batch of composed item embeddings. FedMF also scores C
+    clients at once: (C, B, k) embeddings against (C, k) user embeddings."""
     emb = np.atleast_2d(emb)
     if backbone.kind == "fedmf":
-        if state.embedding is None or state.embedding.shape[0] != emb.shape[1]:
+        if state.embedding is None or state.embedding.shape[-1] != emb.shape[-1]:
             raise ValueError("user embedding missing or dim mismatch")
-        return emb @ state.embedding, {"emb": emb}
+        return _matvec(emb, state.embedding), {"emb": emb}
     if backbone.kind == "fedncf":
         u = np.broadcast_to(state.embedding, emb.shape)
         x = np.concatenate([u, emb], axis=1)
@@ -141,8 +147,9 @@ def score_backward(backbone: Backbone, state: UserState, cache: dict,
     """
     if backbone.kind == "fedmf":
         emb = cache["emb"]
-        return {"user_emb": emb.T @ dlogits,
-                "emb": np.outer(dlogits, state.embedding)}
+        # the outer product, over any leading client axis
+        return {"user_emb": _matvec(emb.swapaxes(-1, -2), dlogits),
+                "emb": dlogits[..., None] * state.embedding[..., None, :]}
     g = dlogits[:, None]
     if backbone.kind == "fedncf":
         wg, bg, dx = mlp_backward(backbone.mlp, cache["mlp"], g)
@@ -153,7 +160,8 @@ def score_backward(backbone: Backbone, state: UserState, cache: dict,
 
 
 def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample binary cross-entropy over sigmoid scores, stabilized.
+    """Per-sample binary cross-entropy over sigmoid scores, stabilized;
+    elementwise, so over any leading client axis too.
 
     Returns (losses, dloss/dlogit) elementwise; the gradient is
     sigmoid(logit) - label.
@@ -167,17 +175,29 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def local_step(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
                items: np.ndarray, labels: np.ndarray, lr: float,
-               rng: np.random.Generator | None = None, mode: str = "train") -> float:
+               rng: np.random.Generator | None = None, mode: str = "train",
+               mask: np.ndarray | None = None) -> float | np.ndarray:
     """One SGD step on user state, shared weights, and adapter parameters.
 
     All gradients are taken at the current parameters, then applied together,
     in place: the caller passes the client's private copies. Returns the mean
     batch loss.
+
+    With `mask`, a (C, B) step of C clients' stacked copies: `items`,
+    `labels` and `mask` are (C, B), and only the entries `mask` marks are
+    samples. Each client's gradient is its own batch mean, a padded entry
+    adds exactly zero, and the (C,) per-client mean losses are returned.
     """
     emb, a_cache = adapter.compose(base, items)
     logits, s_cache = score(backbone, state, emb, mode, rng)
     losses, dlogits = bce_loss(logits, labels)
-    dlogits = (dlogits / len(items)).astype(emb.dtype)
+    if mask is None:
+        loss = float(losses.mean())
+        dlogits = (dlogits / len(items)).astype(emb.dtype)
+    else:
+        n = np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+        loss = np.where(mask, losses, 0.0).sum(axis=-1) / n[..., 0]
+        dlogits = np.where(mask, dlogits / n, 0.0).astype(emb.dtype)
     grads = score_backward(backbone, state, s_cache, dlogits)
 
     a_grads = adapter.grads(a_cache, grads["emb"].astype(emb.dtype))
@@ -188,4 +208,4 @@ def local_step(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
         if key in grads:
             sgd_step(mlp.weights, grads[key][0], lr)
             sgd_step(mlp.biases, grads[key][1], lr)
-    return float(losses.mean())
+    return loss

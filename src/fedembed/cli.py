@@ -35,7 +35,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=None)
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored: clients always train one after another")
+                   help="accepted and ignored: clients train in one process, in lock-step "
+                        "chunks (fedmf with full or lora) or one after another")
     p.add_argument("--unsafe", action="store_true",
                    help="skip hyperparameter grid validation")
 

@@ -2,8 +2,12 @@
 snapshots, FedAvg aggregation, the warm-up -> freeze schedule, and exact
 per-round communication accounting.
 
-Clients are simulated in-process, one after another. Every random draw is
-keyed by (seed, purpose, client, round), so results do not depend on the
+Clients are simulated in-process. Under FedMF with the full table or lora,
+a round's clients train in lock step, up to `LOCK_STEP_CLIENTS` at a time:
+step s of every client in a chunk is one `local_step` over stacked copies.
+Every other backbone and adapter trains them one after another. Every random
+draw is keyed by (seed, purpose, client, round), and a client's result does
+not depend on which clients share its chunk, so results do not depend on the
 order in which clients are trained.
 
 A client trains only the item rows it touches: the positives and negatives
@@ -42,6 +46,10 @@ from .privacy import apply_cdp, apply_ldp, clip_update
 from .rng import RngStream
 from .strategies import (Adapter, FullEmbeddingTable, make_adapter, save_checkpoint,
                          serialize_upload)
+
+# clients trained in lock step by one `_train` call: the chunk bounds the
+# stacked copies, which for a whole round would raise peak memory
+LOCK_STEP_CLIENTS = 64
 
 
 @dataclass
@@ -303,35 +311,108 @@ class Simulation:
                 steps.append((local[sl], labels[sl]))
         return ClientPlan(u, rows, steps)
 
-    def _train(self, plan: ClientPlan, snapshot: list[np.ndarray], round_idx: int
-               ) -> tuple[list[Upload], UserState, float]:
-        """Train a plan from the round's snapshot (adapter tensors, then the shared
-        MLP's): the client's upload, clipped and noised as `dp` says, its new
-        state and its mean loss (nan when it took no step)."""
-        cfg, dp, u = self.config.federation, self.config.dp, plan.client
+    @property
+    def _lock_step(self) -> bool:
+        """Whether this round's clients train in lock step: fedmf with the
+        full table (every warm-up) or lora."""
+        return self.config.backbone == "fedmf" and self.adapter.kind in ("full", "lora")
+
+    def _train(self, plans: list[ClientPlan], snapshot: list[np.ndarray], round_idx: int
+               ) -> list[tuple[list[Upload], UserState, float]]:
+        """Train plans from the round's snapshot (adapter tensors, then the shared
+        MLP's): per plan, the client's upload, clipped and noised as `dp` says,
+        its new state and its mean loss (nan when it took no step). In lock
+        step (`_train_stacked`) or one after another (`_train_one`), each
+        client's result is the same whichever plans share the call."""
+        dp = self.config.dp
+        trained = (self._train_stacked(plans) if self._lock_step
+                   else [self._train_one(plan, round_idx) for plan in plans])
+        results = []
+        for plan, (params, state, losses) in zip(plans, trained):
+            u = plan.client
+            tensors = [RowUpload(plan.rows, t) if i in self.adapter.item_indexed else t
+                       for i, t in enumerate(params)]
+            for t in tensors:
+                check_finite(t.values if isinstance(t, RowUpload) else t,
+                             "the upload of client %d at round %d", u, round_idx)
+            for t in [state.embedding] if state.mlp is None else state.mlp.params():
+                check_finite(t, "the private state of client %d at round %d", u, round_idx)
+            if dp.clip is not None:
+                # a row upload's update is zero off its rows
+                tensors = [RowUpload(t.rows, clip_update(t.values, snap[t.rows], dp.clip))
+                           if isinstance(t, RowUpload) else clip_update(t, snap, dp.clip)
+                           for t, snap in zip(tensors, snapshot)]
+            if dp.mode == "ldp":
+                tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
+                                    dp, self.streams.generator("dp", u, round_idx))
+            results.append((tensors, state, float(np.mean(losses)) if len(losses)
+                            else float("nan")))
+        return results
+
+    def _train_one(self, plan: ClientPlan, round_idx: int
+                   ) -> tuple[list[np.ndarray], UserState, list[float]]:
+        """One client's local steps on private copies: its trained tensors
+        (the adapter's, rows only where item-indexed, then the shared MLP's),
+        its new state and its per-step losses."""
+        cfg, u = self.config.federation, plan.client
         adapter = self.adapter.copy(plan.rows)
         base = self.base.table[plan.rows]
         backbone = self.backbone.copy()
         state = self.user_states[u].copy()
-        dropout_rng = self.streams.generator("dropout", u, round_idx)
-        losses = [local_step(backbone, state, adapter, base, local, labels, cfg.lr, dropout_rng)
+        # keyed, so leaving it out where no dropout runs moves no other draw
+        dropout = any(m is not None and m.dropout > 0 for m in (backbone.mlp, state.mlp))
+        rng = self.streams.generator("dropout", u, round_idx) if dropout else None
+        losses = [local_step(backbone, state, adapter, base, local, labels, cfg.lr, rng)
                   for local, labels in plan.steps]
-        tensors = [RowUpload(plan.rows, t) if i in self.adapter.item_indexed else t
-                   for i, t in enumerate(adapter.trainable() + _backbone_tensors(backbone))]
-        for t in tensors:
-            check_finite(t.values if isinstance(t, RowUpload) else t,
-                         "the upload of client %d at round %d", u, round_idx)
-        for t in [state.embedding] if state.mlp is None else state.mlp.params():
-            check_finite(t, "the private state of client %d at round %d", u, round_idx)
-        if dp.clip is not None:
-            # a row upload's update is zero off its rows
-            tensors = [RowUpload(t.rows, clip_update(t.values, snap[t.rows], dp.clip))
-                       if isinstance(t, RowUpload) else clip_update(t, snap, dp.clip)
-                       for t, snap in zip(tensors, snapshot)]
-        if dp.mode == "ldp":
-            tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
-                                dp, self.streams.generator("dp", u, round_idx))
-        return tensors, state, float(np.mean(losses)) if losses else float("nan")
+        return adapter.trainable() + _backbone_tensors(backbone), state, losses
+
+    def _train_stacked(self, plans: list[ClientPlan]
+                       ) -> list[tuple[list[np.ndarray], UserState, np.ndarray]]:
+        """`_train_one` for C fedmf clients at once, in the order of `plans`.
+
+        Their row sets are concatenated, and every other tensor is stacked over
+        a leading client axis; clients are laid out by step count, most
+        first. Step s is one `local_step` over (a, batch) ids, where the first
+        a clients have an s-th step: they are views of the stacked copies, so
+        a client past its last step is left alone. A short batch is padded
+        with the client's own first row and masked. FedMF has no shared MLP.
+        """
+        cfg, c = self.config.federation, len(plans)
+        order = sorted(range(c), key=lambda j: -len(plans[j].steps))
+        plans = [plans[j] for j in order]
+        sizes = np.array([len(p.rows) for p in plans], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        rows = np.concatenate([np.empty(0, np.int64), *(p.rows for p in plans)])
+        adapter = self.adapter.copy(rows, clients=c)
+        base = self.base.table[rows]
+        users = self.user_states.embedding[[p.client for p in plans]]
+
+        n_steps = [len(p.steps) for p in plans]
+        shape = (max(n_steps, default=0), c, cfg.batch_size)
+        items = np.broadcast_to(starts[:, None], shape).copy()
+        labels = np.zeros(shape, dtype=np.float32)
+        mask = np.zeros(shape, dtype=bool)
+        for j, plan in enumerate(plans):
+            for s, (local, y) in enumerate(plan.steps):
+                items[s, j, :len(local)] = local + starts[j]
+                labels[s, j, :len(y)] = y
+                mask[s, j, :len(local)] = True
+        losses = np.zeros(shape[:2])
+        item_indexed = self.adapter.item_indexed
+        for s in range(shape[0]):
+            a = sum(n > s for n in n_steps)
+            view = dataclasses.replace(adapter, **{
+                name: t[:ends[a - 1]] if i in item_indexed else t[:a]
+                for i, (name, t) in enumerate(zip(adapter.trained, adapter.trainable()))})
+            losses[s, :a] = local_step(self.backbone, UserState(embedding=users[:a]), view,
+                                       base, items[s, :a], labels[s, :a], cfg.lr,
+                                       mask=mask[s, :a])
+        params = adapter.trainable()
+        trained = [([t[start:end] if i in item_indexed else t[j] for i, t in enumerate(params)],
+                    UserState(embedding=users[j]), losses[:n, j])
+                   for j, (n, start, end) in enumerate(zip(n_steps, starts, ends))]
+        return [trained[j] for j in np.argsort(order)]
 
     def client_upload_bytes(self) -> int:
         """What each client is charged: the paper's dense payload of the
@@ -348,7 +429,9 @@ class Simulation:
         n_adapter = len(self.adapter.trainable())
         snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
         plans = [self._plan(int(u), round_idx) for u in clients]
-        results = [self._train(plan, snapshot, round_idx) for plan in plans]
+        chunk = LOCK_STEP_CLIENTS if self._lock_step else 1
+        results = [result for start in range(0, len(plans), chunk)
+                   for result in self._train(plans[start:start + chunk], snapshot, round_idx)]
 
         weights = None
         if cfg.aggregation == "weighted":

@@ -64,12 +64,18 @@ def top_k_items(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
     """Top-k recommendation list over all items the user has not trained on.
 
     Candidates are scored in eval mode; ordering ties break toward the lower
-    item id so lists are reproducible.
+    item id so lists are reproducible, and NaN scores come last. Only the
+    candidates scored at least the k-th highest score are sorted.
     """
     mask = np.ones(n_items, dtype=bool)
     mask[user_train_positives] = False
     candidates = np.flatnonzero(mask)
     emb, _ = adapter.compose(base, candidates)
     logits, _ = score(backbone, state, emb, mode="eval")
-    order = np.lexsort((candidates, -logits))
+    neg = -logits
+    if len(neg) > k:
+        # partition puts NaN last; a NaN k-th score (fewer than k finite) keeps all
+        keep = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))
+        candidates, neg = candidates[keep], neg[keep]
+    order = np.lexsort((candidates, neg))
     return candidates[order[:k]]

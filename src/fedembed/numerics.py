@@ -235,8 +235,16 @@ def kmeans(points: np.ndarray, k: int, iters: int = 10, *,
     return centroids, assignments
 
 
+# points per block of `nearest_rows`, which holds a (block, rows, dim) array
+NEAREST_BLOCK = 256
+
+
 def nearest_rows(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """For each point, the index of the row at the least squared distance;
     ties go to the lowest index (argmin returns the first minimiser)."""
-    d2 = ((points[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    out = np.empty(len(points), dtype=np.intp)
+    for start in range(0, len(points), NEAREST_BLOCK):
+        block = points[start:start + NEAREST_BLOCK]
+        d2 = ((block[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+        out[start:start + NEAREST_BLOCK] = d2.argmin(axis=1)
+    return out

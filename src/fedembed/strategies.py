@@ -18,6 +18,13 @@ rebind that refuses a read-only field: a frozen tensor is a read-only array.
 row per item. ``copy(rows)`` gives a client copy that holds only those rows
 of them: it takes local item ids ``0..len(rows)-1`` against the base rows
 ``base[rows]``, and every other tensor stays whole.
+
+The full table and lora also train a chunk of clients at once.
+``copy(rows, clients=C)`` holds the C clients' row sets concatenated and
+stacks every other tensor over a leading client axis (lora's ``b`` becomes
+``(C, k, rank)``). ``compose`` and ``grads`` then take ``(C, B)`` ids into
+the concatenated rows, each client's ids within its own segment, and give
+``(C, B, k)`` embeddings and gradients aligned with that copy.
 """
 
 from __future__ import annotations
@@ -119,7 +126,9 @@ class FullEmbeddingTable(Trained):
         np.add.at(d, cache["items"], g)
         return [d]
 
-    def copy(self, rows: np.ndarray | None = None) -> "FullEmbeddingTable":
+    def copy(self, rows: np.ndarray | None = None,
+             clients: int | None = None) -> "FullEmbeddingTable":
+        # no tensor is shared between items, so `clients` stacks nothing
         return FullEmbeddingTable(self.table.copy() if rows is None else self.table[rows])
 
 
@@ -136,7 +145,7 @@ class LoraAdapter(Trained):
     """
 
     a: np.ndarray   # (n, rank)
-    b: np.ndarray   # (k, rank)
+    b: np.ndarray   # (k, rank); (C, k, rank) in a copy for C clients
     kind: str = "lora"
     trained: ClassVar[tuple[str, ...]] = ("a", "b")
     item_indexed: ClassVar[tuple[int, ...]] = (0,)
@@ -153,17 +162,19 @@ class LoraAdapter(Trained):
         items = _as_items(items)
         _check_range(items, self.n_items)
         a_rows = self.a[items]
-        out = base[items] + a_rows @ self.b.T
+        out = base[items] + a_rows @ self.b.swapaxes(-1, -2)
         return out, {"items": items, "a_rows": a_rows}
 
     def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
         da = np.zeros_like(self.a)
         np.add.at(da, cache["items"], g @ self.b)
-        db = g.T @ cache["a_rows"]
+        db = g.swapaxes(-1, -2) @ cache["a_rows"]
         return [da, db.astype(self.b.dtype, copy=False)]
 
-    def copy(self, rows: np.ndarray | None = None) -> "LoraAdapter":
-        return LoraAdapter(self.a.copy() if rows is None else self.a[rows], self.b.copy())
+    def copy(self, rows: np.ndarray | None = None, clients: int | None = None) -> "LoraAdapter":
+        a = self.a.copy() if rows is None else self.a[rows]
+        b = self.b.copy() if clients is None else np.repeat(self.b[None], clients, axis=0)
+        return LoraAdapter(a, b)
 
 
 def hash_index(item_ids, a: int, b: int, p: int, d_h: int) -> np.ndarray:

@@ -9,8 +9,8 @@ from fedembed import privacy
 from fedembed.backbones import local_step
 from fedembed.config import ExperimentConfig
 from fedembed.data import choice_excluding
-from fedembed.federation import (RowUpload, Simulation, aggregate, densify, metrics_csv,
-                                 rounds_csv, select_clients)
+from fedembed.federation import (LOCK_STEP_CLIENTS, RowUpload, Simulation, aggregate, densify,
+                                 metrics_csv, rounds_csv, select_clients)
 from fedembed.rng import RngStream
 from fedembed.strategies import comm_cost
 
@@ -192,6 +192,29 @@ def dense_reference_client(sim, plan, round_idx):
     return adapter.trainable() + shared, state, float(np.mean(losses))
 
 
+def per_client_reference(sim, plans, snapshot, round_idx):
+    """`Simulation._train` for fedmf as clients trained before lock step: one
+    after another, each on private copies of its rows, then clipped and noised."""
+    cfg, dp = sim.config.federation, sim.config.dp
+    results = []
+    for plan in plans:
+        adapter, base = sim.adapter.copy(plan.rows), sim.base.table[plan.rows]
+        state = sim.user_states[plan.client].copy()
+        losses = [local_step(sim.backbone, state, adapter, base, local, labels, cfg.lr)
+                  for local, labels in plan.steps]
+        tensors = [RowUpload(plan.rows, t) if i in sim.adapter.item_indexed else t
+                   for i, t in enumerate(adapter.trainable())]
+        if dp.clip is not None:
+            tensors = [RowUpload(t.rows, privacy.clip_update(t.values, s[t.rows], dp.clip))
+                       if isinstance(t, RowUpload) else privacy.clip_update(t, s, dp.clip)
+                       for t, s in zip(tensors, snapshot)]
+        if dp.mode == "ldp":
+            tensors = privacy.apply_ldp([densify(t, s) for t, s in zip(tensors, snapshot)],
+                                        dp, sim.streams.generator("dp", plan.client, round_idx))
+        results.append((tensors, state, float(np.mean(losses)) if losses else float("nan")))
+    return results
+
+
 def upload_bytes(tensors):
     return [t.rows.tobytes() + t.values.tobytes() if isinstance(t, RowUpload) else t.tobytes()
             for t in tensors]
@@ -201,15 +224,19 @@ def state_tensors(state):
     return [state.embedding] if state.embedding is not None else state.mlp.params()
 
 
-def server_state_bytes(sim):
-    """The bytes of everything the server holds: the round's tensors, the base
-    table, every user's state, and the codes or hash parameters."""
+def server_state(sim):
+    """Everything the server holds: the round's tensors, the base table, every
+    user's state, and the codes or hash parameters."""
     users = sim.user_states
     arrays = round_snapshot(sim) + [sim.base.table]
     arrays += [users.embedding] if users.embedding is not None else users.weights + users.biases
     arrays += [getattr(sim.adapter, name) for name in ("codes", "hash_a", "hash_b")
                if hasattr(sim.adapter, name)]
-    return [a.tobytes() for a in arrays]
+    return arrays
+
+
+def server_state_bytes(sim):
+    return [a.tobytes() for a in server_state(sim)]
 
 
 class TestClientRound:
@@ -229,14 +256,22 @@ class TestClientRound:
         snapshot = round_snapshot(sim)
         u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
         plan = sim._plan(u, sim.round)
-        tensors, state, loss = sim._train(plan, snapshot, sim.round)
+        [(tensors, state, loss)] = sim._train([plan], snapshot, sim.round)
         want, want_state, want_loss = dense_reference_client(sim, plan, sim.round)
         assert len(tensors) == len(snapshot)
         got = [densify(t, s) for t, s in zip(tensors, snapshot)]
-        assert np.isfinite(loss) and loss == want_loss
-        assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
-        assert [t.tobytes() for t in state_tensors(state)] == \
-            [t.tobytes() for t in state_tensors(want_state)]
+        assert np.isfinite(loss)
+        if sim._lock_step:
+            # lock step sums in another order; the per-client reference test
+            # bounds the difference over whole rounds
+            assert loss == pytest.approx(want_loss, rel=1e-6)
+            for a, b in zip(got + state_tensors(state), want + state_tensors(want_state)):
+                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-7)
+        else:
+            assert loss == want_loss
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+            assert [t.tobytes() for t in state_tensors(state)] == \
+                [t.tobytes() for t in state_tensors(want_state)]
         if kind in ("full", "lora"):
             (rows, values), *_ = tensors
             assert 0 < len(rows) < sim.log.n_items and len(values) == len(rows)
@@ -256,7 +291,8 @@ class TestClientRound:
         for _ in range(2):            # a warm-up round, then an adapter round
             sim._maybe_transition()
             before = server_state_bytes(sim)
-            _, _, loss = sim._train(sim._plan(u, sim.round), round_snapshot(sim), sim.round)
+            [(_, _, loss)] = sim._train([sim._plan(u, sim.round)], round_snapshot(sim),
+                                        sim.round)
             assert np.isfinite(loss)
             assert server_state_bytes(sim) == before
             sim.run_round()
@@ -299,30 +335,82 @@ class TestClientRound:
             assert np.array_equal(plan.rows[local], items)
             assert labels.tobytes() == want_labels.tobytes()
 
+    @pytest.mark.parametrize("backbone", ["fedncf", "fedmf"])
     @pytest.mark.parametrize("dp", [{}, {"dp.mode": "ldp", "dp.delta": 0.01, "dp.clip": 0.05}],
                              ids=["no-dp", "ldp-clip"])
-    def test_client_results_do_not_depend_on_training_order(self, dp):
-        cfg = small_config(**{"backbone": "fedncf", "federation.warmup_rounds": 1,
-                              "federation.sample_ratio": 0.5, **dp})
+    def test_client_results_do_not_depend_on_training_order(self, dp, backbone):
+        # fedmf trains the plans of one call in lock step, fedncf one after another
+        cfg = small_config(**{"backbone": backbone, "federation.warmup_rounds": 1,
+                              "federation.sample_ratio": 0.5, "federation.batch_size": 8,
+                              **dp})
         sim = Simulation(cfg)
         for _ in range(2):            # a warm-up round, then a lora round
             sim._maybe_transition()
             snapshot = round_snapshot(sim)
             plans = [sim._plan(int(u), sim.round) for u in
                      select_clients(sim.log.n_users, 0.5, sim.streams, sim.round)]
-            forward = [sim._train(plan, snapshot, sim.round) for plan in plans]
-            backward = [sim._train(plan, snapshot, sim.round) for plan in reversed(plans)]
-            for (up, state, loss), (up_r, state_r, loss_r) in zip(forward, reversed(backward)):
-                assert upload_bytes(up) == upload_bytes(up_r)
-                assert [t.tobytes() for t in state_tensors(state)] == \
-                    [t.tobytes() for t in state_tensors(state_r)]
-                assert np.float64(loss).tobytes() == np.float64(loss_r).tobytes()
+            assert len({len(plan.steps) for plan in plans}) > 1
+            want = dict(zip([plan.client for plan in plans],
+                            sim._train(plans, snapshot, sim.round)))
+            for subset in (plans[::-1], plans[1::3]):
+                for plan, (up, state, loss) in zip(subset, sim._train(subset, snapshot,
+                                                                       sim.round)):
+                    up_w, state_w, loss_w = want[plan.client]
+                    assert upload_bytes(up) == upload_bytes(up_w)
+                    assert [t.tobytes() for t in state_tensors(state)] == \
+                        [t.tobytes() for t in state_tensors(state_w)]
+                    assert np.float64(loss).tobytes() == np.float64(loss_w).tobytes()
+            sim.run_round()
+
+    @pytest.mark.parametrize("setting", [{}, {"dp.mode": "ldp", "dp.delta": 0.01,
+                                              "dp.clip": 0.05},
+                                         {"data.min_interactions": 0}],
+                             ids=["no-dp", "ldp-clip", "no-step"])
+    @pytest.mark.parametrize("kind", ["full", "lora"])
+    def test_lock_step_matches_the_per_client_reference(self, kind, setting):
+        cfg = small_config(**{"strategy.kind": kind, "federation.warmup_rounds": 1,
+                              "federation.sample_ratio": 0.5, "federation.lr": 0.5,
+                              "federation.batch_size": 8, **setting})
+        engine, reference = Simulation(cfg), Simulation(cfg)
+        reference._train = lambda plans, snapshot, r: per_client_reference(
+            reference, plans, snapshot, r)
+        no_step = []
+        for _ in range(3):      # for lora: a warm-up round, then two lora rounds
+            engine._maybe_transition()
+            assert engine._lock_step
+            no_step += [u for u in select_clients(engine.log.n_users, 0.5, engine.streams,
+                                                  engine.round)
+                        if not len(engine.split.train_positives[u])]
+            got, want = engine.run_round(), reference.run_round()
+            assert got.train_loss == pytest.approx(want.train_loss, rel=1e-5)
+        assert bool(no_step) == ("data.min_interactions" in setting)
+        # float32 sums in another order, over three rounds of steps at lr 0.5
+        for a, b in zip(server_state(engine), server_state(reference)):
+            np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
+
+    def test_chunks_give_the_bytes_of_one_client_calls(self):
+        cfg = small_config(**{"data.users": 200, "federation.sample_ratio": 1.0,
+                              "federation.warmup_rounds": 1, "federation.batch_size": 8})
+        sim = Simulation(cfg)
+        for _ in range(2):            # a warm-up round, then a lora round
+            sim._maybe_transition()
+            assert sim._lock_step
+            snapshot = round_snapshot(sim)
+            plans = [sim._plan(u, sim.round) for u in range(sim.log.n_users)]
+            chunked = [result for start in range(0, len(plans), LOCK_STEP_CLIENTS)
+                       for result in sim._train(plans[start:start + LOCK_STEP_CLIENTS],
+                                                snapshot, sim.round)]
+            for plan, (up, state, loss) in zip(plans, chunked):
+                [(up_1, state_1, loss_1)] = sim._train([plan], snapshot, sim.round)
+                assert upload_bytes(up) == upload_bytes(up_1)
+                assert state.embedding.tobytes() == state_1.embedding.tobytes()
+                assert np.float64(loss).tobytes() == np.float64(loss_1).tobytes()
             sim.run_round()
 
     def test_zero_local_epochs_returns_snapshot_bits(self):
         sim = Simulation(small_config(**{"federation.local_epochs": 0}))
         snapshot = round_snapshot(sim)
-        tensors, _, loss = sim._train(sim._plan(3, 0), snapshot, 0)
+        [(tensors, _, loss)] = sim._train([sim._plan(3, 0)], snapshot, 0)
         assert np.isnan(loss)
         for got, snap in zip(tensors, snapshot):
             assert len(got.rows) == 0
@@ -352,7 +440,7 @@ class TestClientRound:
         cfg = small_config(backbone="pfedrec")
         sim = Simulation(cfg)
         snapshot = round_snapshot(sim)
-        tensors, _, _ = sim._train(sim._plan(1, 0), snapshot, 0)
+        [(tensors, _, _)] = sim._train([sim._plan(1, 0)], snapshot, 0)
         # upload consists solely of the item-side table in warm-up
         shapes = [densify(t, s).shape for t, s in zip(tensors, snapshot)]
         assert shapes == [(sim.log.n_items, cfg.k)]
@@ -361,8 +449,8 @@ class TestClientRound:
     def test_same_key_same_update(self):
         sim = Simulation(small_config())
         snapshot = round_snapshot(sim)
-        a, _, loss_a = sim._train(sim._plan(2, 1), snapshot, 1)
-        b, _, loss_b = sim._train(sim._plan(2, 1), snapshot, 1)
+        [(a, _, loss_a)] = sim._train([sim._plan(2, 1)], snapshot, 1)
+        [(b, _, loss_b)] = sim._train([sim._plan(2, 1)], snapshot, 1)
         assert loss_a == loss_b
         assert upload_bytes(a) == upload_bytes(b)
 
@@ -390,6 +478,26 @@ class TestRoundMemory:
         # a dense copy, upload and float64 product per client took about 390 MB
         assert peak_400 < 40e6
         assert (peak_400 - peak_100) / (clients - fewer) < table_bytes
+
+
+    def test_a_desk_size_warmup_round_stacks_one_chunk_at_a_time(self):
+        # 180 of 1800 clients, at the desk scale of acceptance criterion 7
+        cfg = small_config(**{"data.users": 1800, "data.items": 800,
+                              "data.user_clusters": 8, "data.item_clusters": 8,
+                              "data.min_interactions": 6, "data.max_interactions": 30,
+                              "federation.sample_ratio": 0.1, "federation.batch_size": 32,
+                              "federation.rounds": 1, "federation.warmup_rounds": 1})
+        sim = Simulation(cfg)
+        assert sim._lock_step
+        tracemalloc.start()
+        try:
+            sim.run_round()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sim.reports[0].clients) == 180
+        # chunks of 64 peaked at 8.1 MB; all 180 clients stacked at once at 16.9 MB
+        assert peak < 12e6
 
 
 class TestPhases:
@@ -496,7 +604,8 @@ class TestDp:
             sim._maybe_transition()
             snapshot = round_snapshot(sim)
             for u in select_clients(sim.log.n_users, 0.25, sim.streams, sim.round):
-                tensors, _, _ = sim._train(sim._plan(int(u), sim.round), snapshot, sim.round)
+                [(tensors, _, _)] = sim._train([sim._plan(int(u), sim.round)], snapshot,
+                                               sim.round)
                 for t, s in zip(tensors, snapshot):
                     norms.append(np.linalg.norm(densify(t, s).astype(np.float64) - s))
             sim.run_round()

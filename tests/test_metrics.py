@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedembed.backbones import Backbone, UserState, make_backbone, make_user_state
@@ -205,6 +205,27 @@ class TestTopK:
         lists = top_k_items(bb, state, adapter, adapter.table,
                             np.array([1]), 6, 3)
         assert lists.tolist() == [0, 2, 3]   # lowest ids win ties
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e30, float("inf"),
+                                     float("-inf")] + [float("nan")] * 4),
+                    min_size=1, max_size=40),
+           st.integers(1, 12))
+    # fewer finite candidates than k, but more candidates
+    @example([0.0, float("nan"), float("nan"), 1.0], 2)
+    def test_lists_equal_a_full_sort(self, scores, k):
+        # one-dimensional items score exactly their value against a user of [1]
+        table = np.array(scores, dtype=np.float32)[:, None]
+        adapter = make_adapter("full", len(scores), 1, RngStream(0))
+        adapter.table[:] = table
+        state = UserState(embedding=np.ones(1, dtype=np.float32))
+        positives = np.arange(0, len(scores), 5)
+        with np.errstate(invalid="ignore"):
+            got = top_k_items(Backbone("fedmf"), state, adapter, adapter.table, positives,
+                              len(scores), k)
+        candidates = np.setdiff1d(np.arange(len(scores)), positives)
+        want = candidates[np.lexsort((candidates, -table[candidates, 0]))][:k]
+        assert got.tolist() == want.tolist()
 
     def test_nan_scores_come_last(self):
         adapter = make_adapter("full", 6, 2, RngStream(0))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import central_diff, relative_error
-from fedembed.numerics import Mlp, kmeans, mlp_backward, mlp_forward, sgd_step
+from fedembed.numerics import (NEAREST_BLOCK, Mlp, kmeans, mlp_backward, mlp_forward,
+                               nearest_rows, sgd_step)
 
 
 def _mlp(weights, biases, acts, dropout=0.0):
@@ -189,6 +190,19 @@ class TestSgd:
 def _objective(points, centroids, assignments):
     """Sum of squared distances from each point to its centroid."""
     return float(((points - centroids[assignments]) ** 2).sum())
+
+
+class TestNearestRows:
+    @pytest.mark.parametrize("n", [0, 1, NEAREST_BLOCK, 2 * NEAREST_BLOCK + 7])
+    def test_blocks_give_the_whole_cube_argmin(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.normal(0, 1, (40, 3)).astype(np.float32)
+        rows[7] = rows[3]                    # a tie, which goes to row 3
+        points = np.concatenate([rng.normal(0, 1, (n, 3)).astype(np.float32), rows[[3]]])
+        want = ((points[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+        got = nearest_rows(points, rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got[-1] == 3
 
 
 class TestKmeans:
