@@ -147,7 +147,7 @@ def _comm_rows(n: int, k: int, cfg: ExperimentConfig, ranks: list[int]) -> list[
         rows.append({"strategy": label, "upload_bytes": predicted,
                      "upload_kb": predicted / 1000.0,
                      "representation": representation_capacity(n_items=n, **settings),
-                     "distinct": adapter.distinct_index_tuples(n) if c.kind == "hash" else ""})
+                     "distinct": adapter.distinct_index_tuples() if c.kind == "hash" else ""})
 
     add("full", replace(s, kind="full"))
     for r in ranks:

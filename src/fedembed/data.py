@@ -184,7 +184,8 @@ def load_item_features(path: str | Path, log: InteractionLog) -> np.ndarray:
                 continue
             try:
                 item_id, values = line.split("\t")
-                vec = np.array([float(v) for v in values.split(",")], dtype=np.float32)
+                with np.errstate(over="ignore"):    # past float32 range: inf, stopped below
+                    vec = np.array([float(v) for v in values.split(",")], dtype=np.float32)
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             if not np.isfinite(vec).all():

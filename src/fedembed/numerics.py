@@ -35,6 +35,20 @@ def init_layer_weight(rng: np.random.Generator, fan_out: int, fan_in: int,
     return rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
 
 
+def scatter_rows(like: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The gradient of the gather `like[idx]`: zeros shaped like `like`, with
+    each `values[pos]` added to row `idx[pos]` in C order of the positions."""
+    out = np.zeros_like(like)
+    np.add.at(out, idx, values)
+    return out
+
+
+def level_rows(codes: np.ndarray, size: int) -> np.ndarray:
+    """Per-level codes (n, l) as rows `j*size + code` of the l codebooks of
+    `size` rows each, stacked into one table."""
+    return codes + size * np.arange(codes.shape[1])
+
+
 def relu_layers(n_layers: int) -> list[str]:
     """ReLU between layers, identity on the output."""
     return ["relu"] * (n_layers - 1) + ["identity"]

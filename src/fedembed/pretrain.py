@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import (Mlp, kmeans, mlp_backward, mlp_forward, nearest_rows, relu_layers,
-                       sgd_step)
+from .numerics import (Mlp, kmeans, level_rows, mlp_backward, mlp_forward, nearest_rows,
+                       relu_layers, scatter_rows, sgd_step)
 from .rng import RngStream
 
 
@@ -185,11 +185,12 @@ def train_rqvae(features: np.ndarray, config: PretrainConfig, streams: RngStream
         g_z = g_zhat + (2.0 * config.beta / b) * residuals[1:].sum(axis=0)
         enc_wg, enc_bg, _ = mlp_backward(encoder, enc_cache, g_z)
 
-        book_grad = np.zeros_like(model.codebooks)
-        for j in range(model.codebooks.shape[0]):
-            np.add.at(book_grad[j], codes[:, j], (-2.0 / b) * residuals[j + 1])
+        book_grad = scatter_rows(model.codebooks.reshape(-1, z.shape[1]),
+                                 level_rows(codes, config.codebook_size),
+                                 (-2.0 / b) * residuals[1:].swapaxes(0, 1))
         sgd_step([model.codebooks, *decoder.params(), *encoder.params()],
-                 [book_grad, *dec_wg, *dec_bg, *enc_wg, *enc_bg], config.lr)
+                 [book_grad.reshape(model.codebooks.shape), *dec_wg, *dec_bg, *enc_wg, *enc_bg],
+                 config.lr)
 
     return assign_codes(x_all, model), model
 

@@ -15,16 +15,20 @@ them in place. The server installs a round's fold with ``set_trainable``, a
 rebind that refuses a read-only field: a frozen tensor is a read-only array.
 
 ``item_indexed`` names the positions in ``trainable()`` of tensors with one
-row per item. ``copy(rows)`` gives a client copy that holds only those rows
-of them: it takes local item ids ``0..len(rows)-1`` against the base rows
-``base[rows]``, and every other tensor stays whole.
+row per item, and ``item_maps`` the fixed integer fields with one row per
+item: hash's ``idx``, each item's h ``hash_index`` values computed once when
+the adapter is made or loaded, and rqvae's ``codes``, whose ``idx`` holds
+them as rows ``j*d_R + code`` of the stacked codebooks. The one ``copy(rows)``
+gives a client copy that holds only those rows of both: it takes local item
+ids ``0..len(rows)-1`` against the base rows ``base[rows]``, and every other
+trained tensor is copied whole.
 
 The full table and lora also train a chunk of clients at once.
 ``copy(rows, clients=C)`` holds the C clients' row sets concatenated and
-stacks every other tensor over a leading client axis (lora's ``b`` becomes
-``(C, k, rank)``). ``compose`` and ``grads`` then take ``(C, B)`` ids into
-the concatenated rows, each client's ids within its own segment, and give
-``(C, B, k)`` embeddings and gradients aligned with that copy.
+stacks every other trained tensor over a leading client axis (lora's ``b``
+becomes ``(C, k, rank)``). ``compose`` and ``grads`` then take ``(C, B)`` ids
+into the concatenated rows, each client's ids within its own segment, and
+give ``(C, B, k)`` embeddings and gradients aligned with that copy.
 """
 
 from __future__ import annotations
@@ -32,14 +36,14 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .numerics import (Mlp, check_finite, init_layer_weight, init_uniform, mlp_backward,
-                       mlp_forward)
+from .numerics import (Mlp, check_finite, init_layer_weight, init_uniform, level_rows,
+                       mlp_backward, mlp_forward, scatter_rows)
 from .rng import RngStream
 
 STRATEGY_KINDS = ("full", "lora", "hash", "rqvae")
@@ -63,20 +67,19 @@ class StrategyConfig:
     init: str = "zero"                 # zero | base_distribution
 
 
-def _as_items(items) -> np.ndarray:
+def _as_items(items, n: int) -> np.ndarray:
     items = np.atleast_1d(np.asarray(items, dtype=np.int64))
+    if items.size and (items.min() < 0 or items.max() >= n):
+        raise IndexError(f"item id out of range [0, {n})")
     return items
 
 
-def _check_range(items: np.ndarray, n: int) -> None:
-    if items.size and (items.min() < 0 or items.max() >= n):
-        raise IndexError(f"item id out of range [0, {n})")
-
-
 class Trained:
-    """`trainable`/`set_trainable` over the fields that `trained` names."""
+    """`trainable`/`set_trainable` over the fields that `trained` names, and `copy`."""
 
     trained: ClassVar[tuple[str, ...]] = ()
+    item_indexed: ClassVar[tuple[int, ...]] = ()
+    item_maps: ClassVar[tuple[str, ...]] = ()
 
     def trainable(self) -> list[np.ndarray]:
         return [t for t in (getattr(self, name) for name in self.trained) if t is not None]
@@ -96,6 +99,17 @@ class Trained:
             new.append(t)
         for name, t in zip(names, new):
             setattr(self, name, t)
+
+    def copy(self, rows: np.ndarray | None = None, clients: int | None = None):
+        changes = {name: t for name in self.trained if (t := getattr(self, name)) is not None}
+        for i, (name, t) in enumerate(changes.items()):
+            if i in self.item_indexed:
+                changes[name] = t.copy() if rows is None else t[rows]
+            else:
+                changes[name] = t.copy() if clients is None else np.repeat(t[None], clients, 0)
+        if rows is not None:
+            changes.update((name, getattr(self, name)[rows]) for name in self.item_maps)
+        return replace(self, **changes)
 
 
 @dataclass
@@ -117,19 +131,11 @@ class FullEmbeddingTable(Trained):
         self.table.setflags(write=False)
 
     def compose(self, base: np.ndarray | None, items) -> tuple[np.ndarray, dict]:
-        items = _as_items(items)
-        _check_range(items, self.n_items)
+        items = _as_items(items, self.n_items)
         return self.table[items].copy(), {"items": items}
 
     def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
-        d = np.zeros_like(self.table)
-        np.add.at(d, cache["items"], g)
-        return [d]
-
-    def copy(self, rows: np.ndarray | None = None,
-             clients: int | None = None) -> "FullEmbeddingTable":
-        # no tensor is shared between items, so `clients` stacks nothing
-        return FullEmbeddingTable(self.table.copy() if rows is None else self.table[rows])
+        return [scatter_rows(self.table, cache["items"], g)]
 
 
 # the full strategy's adapter, under the name callers outside this module use
@@ -159,22 +165,15 @@ class LoraAdapter(Trained):
         return self.a.shape[0]
 
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
-        items = _as_items(items)
-        _check_range(items, self.n_items)
+        items = _as_items(items, self.n_items)
         a_rows = self.a[items]
         out = base[items] + a_rows @ self.b.swapaxes(-1, -2)
         return out, {"items": items, "a_rows": a_rows}
 
     def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
-        da = np.zeros_like(self.a)
-        np.add.at(da, cache["items"], g @ self.b)
         db = g.swapaxes(-1, -2) @ cache["a_rows"]
-        return [da, db.astype(self.b.dtype, copy=False)]
-
-    def copy(self, rows: np.ndarray | None = None, clients: int | None = None) -> "LoraAdapter":
-        a = self.a.copy() if rows is None else self.a[rows]
-        b = self.b.copy() if clients is None else np.repeat(self.b[None], clients, axis=0)
-        return LoraAdapter(a, b)
+        return [scatter_rows(self.a, cache["items"], g @ self.b),
+                db.astype(self.b.dtype, copy=False)]
 
 
 def hash_index(item_ids, a: int, b: int, p: int, d_h: int) -> np.ndarray:
@@ -190,21 +189,19 @@ class HashAdapter(Trained):
     Variant "mean" averages the h hashed vectors; variant "senet" reweights
     them with dynamic weights from a squeeze-excitation net: each vector's
     mean goes through the bias-free ReLU/sigmoid `Mlp` [w1, w2].
-    Hash parameters are fixed at construction and never trained. A client
-    copy restricted to `rows` keeps those global ids in `ids` and hashes
-    `ids[item]`, never the local id.
+    Hash parameters are fixed and never trained; `idx` holds every item's h indices.
     """
 
     table: np.ndarray                  # (d_H, k)
     hash_a: np.ndarray                 # (h,)
     hash_b: np.ndarray                 # (h,)
     p: int
+    idx: np.ndarray                    # (n, h) rows of `table` per item
     w1: np.ndarray | None = None       # (h1, h)
     w2: np.ndarray | None = None       # (h, h1)
     kind: str = "hash"
-    ids: np.ndarray | None = None      # global id of each local item id
     trained: ClassVar[tuple[str, ...]] = ("table", "w1", "w2")
-    item_indexed: ClassVar[tuple[int, ...]] = ()
+    item_maps: ClassVar[tuple[str, ...]] = ("idx",)
 
     def __post_init__(self):
         if np.any(self.hash_a == 0):
@@ -218,6 +215,7 @@ class HashAdapter(Trained):
             raise ValueError("p must be >= table size d_H")
         if (self.w1 is None) != (self.w2 is None):
             raise ValueError("senet needs both w1 and w2")
+        self.idx.setflags(write=False)
 
     @property
     def senet(self) -> bool:
@@ -231,18 +229,13 @@ class HashAdapter(Trained):
     def d_h(self) -> int:
         return self.table.shape[0]
 
-    def indices(self, items: np.ndarray) -> np.ndarray:
-        return hash_index(items[:, None], self.hash_a, self.hash_b, self.p, self.d_h)
-
-    def distinct_index_tuples(self, n_items: int) -> int:
-        """How many distinct (idx_1, ..., idx_h) the hash functions actually
-        give items 0..n_items-1, to set against `representation_capacity`."""
-        return len(np.unique(self.indices(np.arange(n_items, dtype=np.int64)), axis=0))
+    def distinct_index_tuples(self) -> int:
+        """How many distinct index tuples the items get, against `representation_capacity`."""
+        return len(np.unique(self.idx, axis=0))
 
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
-        items = _as_items(items)
-        _check_range(items, base.shape[0])
-        idx = self.indices(items if self.ids is None else self.ids[items])
+        items = _as_items(items, len(self.idx))
+        idx = self.idx[items]
         v = self.table[idx]                      # (B, h, k)
         cache: dict = {"items": items, "idx": idx, "v": v}
         if not self.senet:
@@ -257,36 +250,28 @@ class HashAdapter(Trained):
 
     def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
         idx, v = cache["idx"], cache["v"]
-        dtable = np.zeros_like(self.table)
         if not self.senet:
             dv = np.broadcast_to(g[:, None, :] / self.n_hashes, v.shape)
-            np.add.at(dtable, idx, dv)
-            return [dtable]
+            return [scatter_rows(self.table, idx, dv)]
         dw = np.einsum("bk,bhk->bh", g, v)            # dL/dw
         (dw1, dw2), _, ds = mlp_backward(cache["net"], cache["net_cache"], dw)
         # the direct path, then the squeeze path through each vector's mean
         dv = cache["w"][:, :, None] * g[:, None, :] + ds[:, :, None] / v.shape[2]
-        np.add.at(dtable, idx, dv)
-        return [dtable, dw1.astype(self.w1.dtype, copy=False),
+        return [scatter_rows(self.table, idx, dv), dw1.astype(self.w1.dtype, copy=False),
                 dw2.astype(self.w2.dtype, copy=False)]
-
-    def copy(self, rows: np.ndarray | None = None) -> "HashAdapter":
-        return HashAdapter(self.table.copy(), self.hash_a.copy(), self.hash_b.copy(),
-                           self.p,
-                           None if self.w1 is None else self.w1.copy(),
-                           None if self.w2 is None else self.w2.copy(),
-                           ids=rows)
 
 
 @dataclass
 class RqVaeAdapter(Trained):
-    """Multi-level codebooks plus frozen per-item semantic codes."""
+    """Multi-level codebooks plus frozen per-item semantic codes; `idx` holds
+    the codes as rows of the codebooks stacked into one (l*d_R, k) table."""
 
     codebooks: np.ndarray    # (l, d_R, k)
     codes: np.ndarray        # (n, l) int, immutable during federation
     kind: str = "rqvae"
+    idx: np.ndarray = field(init=False, repr=False)
     trained: ClassVar[tuple[str, ...]] = ("codebooks",)
-    item_indexed: ClassVar[tuple[int, ...]] = ()
+    item_maps: ClassVar[tuple[str, ...]] = ("codes",)
 
     def __post_init__(self):
         levels, d_r, _ = self.codebooks.shape
@@ -295,6 +280,7 @@ class RqVaeAdapter(Trained):
         if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= d_r):
             raise ValueError(f"semantic codes out of range [0, {d_r})")
         self.codes.setflags(write=False)
+        self.idx = level_rows(self.codes, d_r)
 
     @property
     def levels(self) -> int:
@@ -309,24 +295,19 @@ class RqVaeAdapter(Trained):
         return self.codes.shape[0]
 
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
-        items = _as_items(items)
-        _check_range(items, self.n_items)
-        item_codes = self.codes[items]          # (B, l)
-        out = base[items].copy()
+        items = _as_items(items, self.n_items)
+        idx = self.idx[items]                    # (B, l)
+        rows = self.codebooks.reshape(-1, self.codebooks.shape[2])
+        out = base[items]
         for j in range(self.levels):
-            out = out + self.codebooks[j][item_codes[:, j]]
-        return out, {"items": items, "item_codes": item_codes}
+            out = out + rows[idx[:, j]]
+        return out, {"items": items, "idx": idx}
 
     def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
-        d = np.zeros_like(self.codebooks)
-        item_codes = cache["item_codes"]
-        for j in range(self.levels):
-            np.add.at(d[j], item_codes[:, j], g)
-        return [d]
-
-    def copy(self, rows: np.ndarray | None = None) -> "RqVaeAdapter":
-        return RqVaeAdapter(self.codebooks.copy(),
-                            self.codes if rows is None else self.codes[rows])
+        idx = cache["idx"]
+        d = scatter_rows(self.codebooks.reshape(-1, g.shape[-1]), idx,
+                         np.repeat(g[:, None, :], self.levels, axis=1))
+        return [d.reshape(self.codebooks.shape)]
 
 
 Adapter = FullEmbeddingTable | LoraAdapter | HashAdapter | RqVaeAdapter
@@ -380,7 +361,8 @@ def make_adapter(kind: str, n_items: int, k: int, streams: RngStream, *,
             h1 = s.expansion * s.n_hashes
             w1 = init_layer_weight(streams.generator("init_senet_w1"), h1, s.n_hashes, dtype)
             w2 = init_layer_weight(streams.generator("init_senet_w2"), s.n_hashes, h1, dtype)
-        return HashAdapter(table, ha, hb, s.p, w1, w2)
+        idx = hash_index(np.arange(n_items)[:, None], ha, hb, s.p, s.d_h)
+        return HashAdapter(table, ha, hb, s.p, idx, w1, w2)
     if kind == "rqvae":
         if codes is None:
             raise ValueError("rqvae adapter requires pre-trained semantic codes")
@@ -521,7 +503,9 @@ def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
         w1 = w2 = None
         if name == "hash_senet":
             w1, w2 = f4("adapter", h1, h), f4("adapter", h, h1)
-        adapter = HashAdapter(htable, ha, hb, int(p), w1, w2)
+        with np.errstate(divide="ignore"):     # p = 0 is refused by the adapter
+            idx = hash_index(np.arange(n)[:, None], ha, hb, p, d_h)
+        adapter = HashAdapter(htable, ha, hb, int(p), idx, w1, w2)
     else:
         adapter = RqVaeAdapter(f4("adapter", levels, d_r, k), codes)
     if off != len(buf):

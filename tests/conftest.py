@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# BLAS and OpenMP at one thread before numpy loads, as the benchmark and the
+# digest script run: on a 2-CPU host a second thread gains pre-training no
+# wall time and doubles its CPU time, so suite times vary with the host's load.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 def central_diff(f, arrays, eps=1e-4):

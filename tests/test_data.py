@@ -225,6 +225,8 @@ class TestItemFeatures:
         with pytest.raises(FormatError, match="missing"):
             build_item_features(log, "file", path=write(tmp_path, "f.tsv", "0\t1.0,2.0\n"))
 
+    # a value past float32 range must reach the loader's own check, not warn first
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["nan", "-inf", "1e39"])
     def test_non_finite_value_names_its_line(self, tmp_path, value):
         log = load_interactions(

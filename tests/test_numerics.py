@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import central_diff, relative_error
-from fedembed.numerics import (NEAREST_BLOCK, Mlp, kmeans, mlp_backward, mlp_forward,
-                               nearest_rows, sgd_step)
+from fedembed.numerics import (NEAREST_BLOCK, Mlp, kmeans, level_rows, mlp_backward,
+                               mlp_forward, nearest_rows, scatter_rows, sgd_step)
 
 
 def _mlp(weights, biases, acts, dropout=0.0):
@@ -203,6 +206,40 @@ class TestNearestRows:
         got = nearest_rows(points, rows)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got[-1] == 3
+
+
+def scatter_loop(like, idx, values):
+    """`scatter_rows` one index at a time, in C order of the positions."""
+    out = np.zeros_like(like)
+    for pos in np.ndindex(idx.shape):
+        out[idx[pos]] += values[pos]
+    return out
+
+
+class TestScatterRows:
+    @settings(max_examples=200, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           n=st.integers(1, 5),
+           tail=st.sampled_from([(3,), (2, 3)]),              # 2-D and 3-D tables
+           idx_shape=st.sampled_from([(0,), (1,), (7,), (3, 2), (2, 0), (2, 3, 2)]),
+           data=st.data())
+    def test_equals_a_per_index_loop(self, dtype, n, tail, idx_shape, data):
+        # with few rows the ids repeat, so a row sums several values in order
+        idx = data.draw(arrays(np.int64, idx_shape, elements=st.integers(0, n - 1)))
+        finite = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8) | st.just(-0.0)
+        values = data.draw(arrays(dtype, idx_shape + tail, elements=finite))
+        like = np.full((n,) + tail, 7.0, dtype=dtype)      # only its shape and dtype count
+        got = scatter_rows(like, idx, values)
+        assert got.dtype == dtype and got.shape == like.shape
+        assert got.tobytes() == scatter_loop(like, idx, values).tobytes()
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        got = scatter_rows(np.ones((2, 3)), np.array([[1, 1]]), np.full((1, 2, 3), -0.0))
+        assert got.tobytes() == np.zeros((2, 3)).tobytes()
+
+    def test_level_rows_offsets_each_level(self):
+        codes = np.array([[0, 3], [2, 1]])
+        assert level_rows(codes, 4).tolist() == [[0, 7], [2, 5]]
 
 
 class TestKmeans:

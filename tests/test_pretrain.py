@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fedembed.numerics import Mlp, init_uniform, mlp_forward
+from fedembed import pretrain
+from fedembed.numerics import Mlp, init_uniform, mlp_forward, sgd_step
 from fedembed.pretrain import (DivergenceError, PretrainConfig, RqVaeModel,
                                assign_codes, init_codebooks_kmeans, read_codes,
                                rq_encode, train_autoencoder, train_rqvae, write_codes)
@@ -174,6 +175,32 @@ class TestTrainRqVae:
                                    RngStream(3))
         used = np.unique(codes[:, 0]).size
         assert used >= 0.5 * model.codebooks.shape[1]
+
+    def test_codebook_gradient_keeps_the_per_level_bytes(self, monkeypatch):
+        # reference: the per-level scatter `train_rqvae` used before the
+        # codebooks' gradient went through one `numerics.scatter_rows`
+        encoded, stepped = [], []
+
+        def encode(z, books):
+            out = rq_encode(z, books)
+            encoded.append(out)
+            return out
+
+        def step(params, grads, lr):
+            stepped.append(np.array(grads[0]))
+            sgd_step(params, grads, lr)
+
+        monkeypatch.setattr(pretrain, "rq_encode", encode)
+        monkeypatch.setattr(pretrain, "sgd_step", step)
+        cfg = small_config(steps=6, latent_dim=4, levels=3, codebook_size=8)
+        train_rqvae(clustered_features(n=48, k_p=8, seed=6), cfg, RngStream(2))
+        assert len(stepped) == 6
+        for (codes, residuals, _), got in zip(encoded, stepped):
+            b = len(codes)
+            want = np.zeros((cfg.levels, cfg.codebook_size, 4), dtype=residuals.dtype)
+            for j in range(cfg.levels):
+                np.add.at(want[j], codes[:, j], (-2.0 / b) * residuals[j + 1])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_divergence_raises(self):
         feats = 10.0 * clustered_features(seed=9)

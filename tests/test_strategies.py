@@ -7,12 +7,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import central_diff, relative_error
-from fedembed.numerics import sgd_step
+from fedembed import strategies
+from fedembed.numerics import mlp_backward, sgd_step
 from fedembed.rng import RngStream
 from fedembed.strategies import (FullAdapter, FullEmbeddingTable, HashAdapter,
                                  LoraAdapter, RqVaeAdapter, comm_cost, hash_index,
                                  load_checkpoint, make_adapter, representation_capacity,
                                  save_checkpoint, serialize_upload)
+
+
+def hash_adapter(table, hash_a, hash_b, p, w1=None, w2=None, n_items=1):
+    """A `HashAdapter` over items 0..n_items-1 whose map holds their hash
+    indices, built the way `make_adapter` builds it."""
+    idx = hash_index(np.arange(n_items)[:, None], hash_a, hash_b, p, len(table))
+    return HashAdapter(table, hash_a, hash_b, p, idx, w1, w2)
 
 
 def base_table(n, k, seed=0, dtype=np.float32):
@@ -37,9 +45,9 @@ class TestCompose:
 
     def test_hash_mean_example(self):
         # item 0 hashes to rows 0 and 1 holding [1,3] and [3,5]; e = 0
-        adapter = HashAdapter(table=np.array([[1.0, 3.0], [3.0, 5.0]], dtype=np.float32),
-                              hash_a=np.array([1, 2]), hash_b=np.array([0, 1]),
-                              p=4096)
+        adapter = hash_adapter(table=np.array([[1.0, 3.0], [3.0, 5.0]], dtype=np.float32),
+                               hash_a=np.array([1, 2]), hash_b=np.array([0, 1]),
+                               p=4096)
         base = np.zeros((1, 2), dtype=np.float32)
         out, _ = adapter.compose(base, [0])
         assert out.tolist() == [[2.0, 4.0]]
@@ -90,18 +98,18 @@ class TestHashIndex:
 
     def test_a_equals_b_rejected_at_construction(self):
         with pytest.raises(ValueError, match="a != b"):
-            HashAdapter(np.zeros((4, 2), dtype=np.float32),
-                        hash_a=np.array([3]), hash_b=np.array([3]), p=64)
+            hash_adapter(np.zeros((4, 2), dtype=np.float32),
+                         hash_a=np.array([3]), hash_b=np.array([3]), p=64)
 
     def test_zero_a_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            HashAdapter(np.zeros((4, 2), dtype=np.float32),
-                        hash_a=np.array([0]), hash_b=np.array([1]), p=64)
+            hash_adapter(np.zeros((4, 2), dtype=np.float32),
+                         hash_a=np.array([0]), hash_b=np.array([1]), p=64)
 
     def test_p_smaller_than_table_rejected(self):
         with pytest.raises(ValueError, match="p must be"):
-            HashAdapter(np.zeros((128, 2), dtype=np.float32),
-                        hash_a=np.array([3]), hash_b=np.array([5]), p=64)
+            hash_adapter(np.zeros((128, 2), dtype=np.float32),
+                         hash_a=np.array([3]), hash_b=np.array([5]), p=64)
 
     @settings(max_examples=200, deadline=None)
     @given(item=st.integers(min_value=0, max_value=2**31 - 1),
@@ -121,8 +129,8 @@ def senet_compose(vectors, w1, w2):
     function), and the composed embedding over a zero base."""
     v = np.asarray(vectors, dtype=np.float64)
     b = np.arange(len(v))
-    adapter = HashAdapter(v.copy(), b + 1, b, len(v) + 1, np.asarray(w1, dtype=np.float64),
-                          np.asarray(w2, dtype=np.float64))
+    adapter = hash_adapter(v.copy(), b + 1, b, len(v) + 1, np.asarray(w1, dtype=np.float64),
+                           np.asarray(w2, dtype=np.float64))
     out, cache = adapter.compose(np.zeros((1, v.shape[1])), [0])
     assert np.array_equal(cache["v"][0], v)
     return cache["w"][0], out[0]
@@ -202,8 +210,8 @@ class TestAdapterGradients:
 class TestGradStructure:
     def test_hash_collision_accumulates(self):
         # both hash functions send item 0 to row 3 (a differs, b equal mod p)
-        adapter = HashAdapter(np.zeros((8, 4), dtype=np.float64),
-                              hash_a=np.array([1, 2]), hash_b=np.array([3, 3]), p=64)
+        adapter = hash_adapter(np.zeros((8, 4), dtype=np.float64),
+                               hash_a=np.array([1, 2]), hash_b=np.array([3, 3]), p=64)
         base = np.zeros((1, 4), dtype=np.float64)
         out, cache = adapter.compose(base, [0])
         g = np.ones((1, 4))
@@ -233,6 +241,89 @@ class TestGradStructure:
         da, db = adapter.grads(cache, g)
         assert np.allclose(da[2], adapter.b.T @ g[0])
         assert np.allclose(db, np.outer(g[0], adapter.a[2]))
+
+
+class TestGradsKeepTheirBytes:
+    """`grads` through `numerics.scatter_rows` and the fixed map `idx` gives
+    the bytes of the formulas they replaced, kept here as the reference:
+    hash hashed the global ids and scattered over (B, h) with one
+    `np.add.at`; rqvae scattered level by level into each codebook."""
+
+    @pytest.mark.parametrize("senet", [False, True], ids=["mean", "senet"])
+    def test_hash(self, senet, rng):
+        n, k = 40, 6
+        adapter = make_adapter("hash", n, k, RngStream(3), d_h=8, n_hashes=3, p=11,
+                               senet=senet, init="base_distribution")
+        items = rng.integers(0, n, 64)                   # repeats collide on rows
+        g = rng.normal(0, 1, (64, k)).astype(np.float32)
+        _, cache = adapter.compose(base_table(n, k), items)
+        got = adapter.grads(cache, g)
+
+        idx = hash_index(items[:, None], adapter.hash_a, adapter.hash_b, adapter.p, 8)
+        v = adapter.table[idx]
+        if senet:
+            dw = np.einsum("bk,bhk->bh", g, v)
+            _, _, ds = mlp_backward(cache["net"], cache["net_cache"], dw)
+            dv = cache["w"][:, :, None] * g[:, None, :] + ds[:, :, None] / k
+        else:
+            dv = np.broadcast_to(g[:, None, :] / 3, v.shape)
+        dtable = np.zeros_like(adapter.table)
+        np.add.at(dtable, idx, dv)
+        assert got[0].dtype == dtable.dtype and got[0].tobytes() == dtable.tobytes()
+
+    def test_rqvae(self, rng):
+        n, k, levels, d_r = 30, 5, 3, 4
+        codes = rng.integers(0, d_r, (n, levels))
+        adapter = make_adapter("rqvae", n, k, RngStream(3), levels=levels, d_r=d_r,
+                               codes=codes, init="base_distribution")
+        items = rng.integers(0, n, 64)
+        g = rng.normal(0, 1, (64, k)).astype(np.float32)
+        _, cache = adapter.compose(base_table(n, k), items)
+        (got,) = adapter.grads(cache, g)
+
+        d = np.zeros_like(adapter.codebooks)
+        for j in range(levels):
+            np.add.at(d[j], codes[items, j], g)
+        assert got.shape == d.shape and got.tobytes() == d.tobytes()
+
+
+class TestCopy:
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("full", {}),
+        ("lora", {"rank": 2}),
+        ("hash", {"d_h": 8, "n_hashes": 2, "p": 11}),
+        ("hash", {"d_h": 8, "n_hashes": 3, "p": 11, "senet": True, "expansion": 2}),
+        ("rqvae", {"levels": 2, "d_r": 4}),
+    ])
+    def test_row_copy_is_the_rows_of_the_whole(self, kind, kwargs, rng):
+        n, k = 12, 4
+        if kind == "rqvae":
+            kwargs["codes"] = rng.integers(0, 4, (n, 2))
+        adapter = make_adapter(kind, n, k, RngStream(4), init="base_distribution", **kwargs)
+        base, rows, local = base_table(n, k), np.array([1, 4, 5, 9]), np.array([0, 3, 3, 2])
+        copy = adapter.copy(rows)
+        want, _ = adapter.compose(base, rows[local])
+        got, _ = copy.compose(base[rows], local)
+        assert got.tobytes() == want.tobytes()
+        # the fixed maps hold the same rows, so rqvae's codes and idx agree
+        for name in adapter.item_maps + (("idx",) if kind == "rqvae" else ()):
+            assert np.array_equal(getattr(copy, name), getattr(adapter, name)[rows])
+        for t, whole in zip(copy.trainable(), adapter.trainable()):
+            assert not np.shares_memory(t, whole)
+
+    def test_nothing_hashes_an_id_after_construction(self, monkeypatch):
+        adapter = make_adapter("hash", 20, 4, RngStream(0), d_h=8, n_hashes=2, p=11,
+                               senet=True)
+        want = adapter.distinct_index_tuples()
+
+        def refuse(*args):
+            raise AssertionError("hashed after construction")
+
+        monkeypatch.setattr(strategies, "hash_index", refuse)
+        copy = adapter.copy(np.array([3, 7]))
+        _, cache = copy.compose(base_table(20, 4)[[3, 7]], [0, 1, 1])
+        copy.grads(cache, np.ones((3, 4), dtype=np.float32))
+        assert adapter.distinct_index_tuples() == want
 
 
 class TestSerialization:
@@ -327,12 +418,12 @@ class TestRepresentationCapacity:
         with pytest.warns(UserWarning, match="p=4096"):
             composite = make_adapter("hash", 3706, 4, RngStream(seed), d_h=512,
                                      n_hashes=2, p=4096)
-        assert composite.distinct_index_tuples(3706) <= 512
+        assert composite.distinct_index_tuples() <= 512
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             prime = make_adapter("hash", 3706, 4, RngStream(seed), d_h=512,
                                  n_hashes=2, p=4093)
-        assert prime.distinct_index_tuples(3706) > 512
+        assert prime.distinct_index_tuples() > 512
 
     def test_lora_and_full_equal_item_count(self):
         assert representation_capacity("lora", 3706) == 3706
@@ -464,6 +555,13 @@ class TestCheckpoint:
         buf[31:35] = (11).to_bytes(4, "little")
         (tmp_path / "bad.fpeb").write_bytes(bytes(buf))
         with pytest.raises(ValueError, match="hash parameters"):
+            load_checkpoint(tmp_path / "bad.fpeb")
+        # p = 0: refused by the adapter, with no warning from building its map
+        buf = bytearray(self.checkpoint_bytes("hash", tmp_path, d_h=8, n_hashes=2, p=11))
+        buf[23:27] = bytes(4)
+        (tmp_path / "bad.fpeb").write_bytes(bytes(buf))
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="hash parameters"):
+            warnings.simplefilter("error")
             load_checkpoint(tmp_path / "bad.fpeb")
         # rqvae: ..., n, k, then levels, d_r and codes[0, 0]
         buf = bytearray(self.checkpoint_bytes("rqvae", tmp_path, levels=2, d_r=4))
