@@ -64,6 +64,10 @@ SMALL_RUNS = {
     "fedmf-lora": ("strategy.kind=lora",),
     "fedmf-full": ("strategy.kind=full",),
     "fedmf-rqvae": ("strategy.kind=rqvae",),
+    "fedmf-hash-senet": ("strategy.kind=hash", "strategy.senet=true", "strategy.d_h=256"),
+    "fedncf-rqvae": ("backbone=fedncf", "strategy.kind=rqvae"),
+    "pfedrec-hash-senet": ("backbone=pfedrec", "strategy.kind=hash", "strategy.senet=true",
+                           "strategy.d_h=256"),
     "fedmf-lora-warmup5": ("strategy.kind=lora", "federation.warmup_rounds=5"),
     "fedncf-hash-senet": ("backbone=fedncf", "strategy.kind=hash", "strategy.senet=true",
                           "strategy.d_h=256"),

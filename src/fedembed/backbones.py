@@ -8,7 +8,7 @@ the client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,51 +22,35 @@ PFEDREC_DROPOUT = 0.5
 
 @dataclass
 class UserState:
-    """Client-private parameters; never serialized into uploads."""
+    """Client-private parameters; never serialized into uploads. Many users'
+    stack over a leading axis: the (m, k) user embeddings (fedmf, fedncf), or
+    the personal MLP stacked (pfedrec); every user's are what `sim_state.npz`
+    stores. `state[u]` is user u's state as views, `state[users]` for an id
+    array the users' stacked as copies, and `state[u] = s` writes one back."""
 
     embedding: np.ndarray | None = None
     mlp: Mlp | None = None
 
-    def copy(self) -> "UserState":
-        return UserState(None if self.embedding is None else self.embedding.copy(),
-                         None if self.mlp is None else self.mlp.copy())
-
-
-@dataclass
-class UserTable:
-    """Every user's private parameters, stacked over a leading user axis:
-    the (m, k) user embeddings (fedmf, fedncf), or the personal MLP's weights
-    (m, out, in) and biases (m, out) per layer (pfedrec). These arrays are
-    exactly what `sim_state.npz` stores. `table[u]` is user u's `UserState`
-    as views of its rows; `table[u] = state` writes a client's state back."""
-
-    embedding: np.ndarray | None = None
-    weights: list[np.ndarray] | None = None
-    biases: list[np.ndarray] | None = None
-    dropout: float = PFEDREC_DROPOUT
-
     @classmethod
-    def stack(cls, states: list[UserState]) -> "UserTable":
+    def stack(cls, states: list["UserState"]) -> "UserState":
         if states[0].mlp is None:
             return cls(embedding=np.stack([s.embedding for s in states]))
-        return cls(weights=[np.stack(w) for w in zip(*(s.mlp.weights for s in states))],
-                   biases=[np.stack(b) for b in zip(*(s.mlp.biases for s in states))],
-                   dropout=states[0].mlp.dropout)
+        return cls(mlp=replace(states[0].mlp,
+                               weights=[np.stack(w) for w in zip(*(s.mlp.weights for s in states))],
+                               biases=[np.stack(b) for b in zip(*(s.mlp.biases for s in states))]))
 
     def __len__(self) -> int:
-        return len(self.embedding if self.embedding is not None else self.weights[0])
+        return len(self.embedding if self.embedding is not None else self.mlp.weights[0])
 
-    def __getitem__(self, u: int) -> UserState:
-        if self.embedding is not None:
-            return UserState(embedding=self.embedding[u])
-        return UserState(mlp=Mlp([w[u] for w in self.weights], [b[u] for b in self.biases],
-                                 relu_layers(len(self.weights)), self.dropout))
+    def __getitem__(self, u) -> "UserState":
+        return UserState(None if self.embedding is None else self.embedding[u],
+                         None if self.mlp is None else self.mlp[u])
 
-    def __setitem__(self, u: int, state: UserState) -> None:
+    def __setitem__(self, u, state: "UserState") -> None:
         if self.embedding is not None:
             self.embedding[u] = state.embedding
             return
-        for stacked, t in zip(self.weights + self.biases, state.mlp.params()):
+        for stacked, t in zip(self.mlp.params(), state.mlp.params()):
             stacked[u] = t
 
 
@@ -76,9 +60,6 @@ class Backbone:
 
     kind: str
     mlp: Mlp | None = None
-
-    def copy(self) -> "Backbone":
-        return Backbone(self.kind, None if self.mlp is None else self.mlp.copy())
 
     def upload_bytes(self) -> int:
         return 0 if self.mlp is None else self.mlp.param_bytes()
@@ -119,22 +100,23 @@ def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def score(backbone: Backbone, state: UserState, emb: np.ndarray, mode: str = "eval",
-          rng: np.random.Generator | None = None) -> tuple[np.ndarray, dict]:
-    """Logits for a batch of composed item embeddings. FedMF also scores C
-    clients at once: (C, B, k) embeddings against (C, k) user embeddings."""
+          rng=None, samples: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Logits for a batch of composed item embeddings; C clients' at once from
+    (C, B, k) embeddings, their stacked states and shared MLPs. `rng` and
+    `samples` are `mlp_forward`'s dropout draws."""
     emb = np.atleast_2d(emb)
     if backbone.kind == "fedmf":
         if state.embedding is None or state.embedding.shape[-1] != emb.shape[-1]:
             raise ValueError("user embedding missing or dim mismatch")
         return _matvec(emb, state.embedding), {"emb": emb}
     if backbone.kind == "fedncf":
-        u = np.broadcast_to(state.embedding, emb.shape)
-        x = np.concatenate([u, emb], axis=1)
-        out, cache = mlp_forward(backbone.mlp, x, mode, rng)
-        return out[:, 0], {"mlp": cache, "k": emb.shape[1]}
+        u = np.broadcast_to(state.embedding[..., None, :], emb.shape)
+        x = np.concatenate([u, emb], axis=-1)
+        out, cache = mlp_forward(backbone.mlp, x, mode, rng, samples)
+        return out[..., 0], {"mlp": cache, "k": emb.shape[-1]}
     if backbone.kind == "pfedrec":
-        out, cache = mlp_forward(state.mlp, emb, mode, rng)
-        return out[:, 0], {"mlp": cache}
+        out, cache = mlp_forward(state.mlp, emb, mode, rng, samples)
+        return out[..., 0], {"mlp": cache}
     raise ValueError(f"unknown backbone {backbone.kind!r}")
 
 
@@ -150,11 +132,11 @@ def score_backward(backbone: Backbone, state: UserState, cache: dict,
         # the outer product, over any leading client axis
         return {"user_emb": _matvec(emb.swapaxes(-1, -2), dlogits),
                 "emb": dlogits[..., None] * state.embedding[..., None, :]}
-    g = dlogits[:, None]
+    g = dlogits[..., None]
     if backbone.kind == "fedncf":
         wg, bg, dx = mlp_backward(backbone.mlp, cache["mlp"], g)
         k = cache["k"]
-        return {"user_emb": dx[:, :k].sum(axis=0), "wg": (wg, bg), "emb": dx[:, k:]}
+        return {"user_emb": dx[..., :k].sum(axis=-2), "wg": (wg, bg), "emb": dx[..., k:]}
     wg, bg, demb = mlp_backward(state.mlp, cache["mlp"], g)
     return {"user_mlp": (wg, bg), "emb": demb}
 
@@ -174,30 +156,27 @@ def bce_loss(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def local_step(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
-               items: np.ndarray, labels: np.ndarray, lr: float,
-               rng: np.random.Generator | None = None, mode: str = "train",
-               mask: np.ndarray | None = None) -> float | np.ndarray:
+               items: np.ndarray, labels: np.ndarray, lr: float, rng=None,
+               mode: str = "train", mask: np.ndarray | None = None) -> float | np.ndarray:
     """One SGD step on user state, shared weights, and adapter parameters.
 
     All gradients are taken at the current parameters, then applied together,
     in place: the caller passes the client's private copies. Returns the mean
     batch loss.
 
-    With `mask`, a (C, B) step of C clients' stacked copies: `items`,
-    `labels` and `mask` are (C, B), and only the entries `mask` marks are
-    samples. Each client's gradient is its own batch mean, a padded entry
-    adds exactly zero, and the (C,) per-client mean losses are returned.
+    C clients' stacked copies step at once on (C, B) `items` and `labels`,
+    with a dropout generator each, and give their (C,) mean losses. `mask`
+    marks the samples (every entry without it): each client's gradient is
+    its own batch mean; a padded entry adds exactly zero.
     """
-    emb, a_cache = adapter.compose(base, items)
-    logits, s_cache = score(backbone, state, emb, mode, rng)
-    losses, dlogits = bce_loss(logits, labels)
     if mask is None:
-        loss = float(losses.mean())
-        dlogits = (dlogits / len(items)).astype(emb.dtype)
-    else:
-        n = np.maximum(mask.sum(axis=-1, keepdims=True), 1)
-        loss = np.where(mask, losses, 0.0).sum(axis=-1) / n[..., 0]
-        dlogits = np.where(mask, dlogits / n, 0.0).astype(emb.dtype)
+        mask = np.ones(np.shape(items), dtype=bool)
+    emb, a_cache = adapter.compose(base, items)
+    logits, s_cache = score(backbone, state, emb, mode, rng, mask)
+    losses, dlogits = bce_loss(logits, labels)
+    n = np.maximum(mask.sum(axis=-1, keepdims=True), 1)
+    loss = np.where(mask, losses, 0.0).sum(axis=-1) / n[..., 0]
+    dlogits = np.where(mask, dlogits / n, 0.0).astype(emb.dtype)
     grads = score_backward(backbone, state, s_cache, dlogits)
 
     a_grads = adapter.grads(a_cache, grads["emb"].astype(emb.dtype))

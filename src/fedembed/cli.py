@@ -36,7 +36,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="accepted and ignored: clients train in one process, in lock-step "
-                        "chunks (fedmf with full or lora) or one after another")
+                        "chunks of up to 64")
     p.add_argument("--unsafe", action="store_true",
                    help="skip hyperparameter grid validation")
 

@@ -2,13 +2,12 @@
 snapshots, FedAvg aggregation, the warm-up -> freeze schedule, and exact
 per-round communication accounting.
 
-Clients are simulated in-process. Under FedMF with the full table or lora,
-a round's clients train in lock step, up to `LOCK_STEP_CLIENTS` at a time:
+Clients are simulated in-process. Under every backbone and adapter, a
+round's clients train in lock step, up to `LOCK_STEP_CLIENTS` at a time:
 step s of every client in a chunk is one `local_step` over stacked copies.
-Every other backbone and adapter trains them one after another. Every random
-draw is keyed by (seed, purpose, client, round), and a client's result does
-not depend on which clients share its chunk, so results do not depend on the
-order in which clients are trained.
+Every random draw is keyed by (seed, purpose, client, round), dropout masks
+included, and a client's result does not depend on which clients share its
+chunk, so results do not depend on the order in which clients are trained.
 
 A client trains only the item rows it touches: the positives and negatives
 of all its local epochs, drawn by `_plan` before `_train` runs. Item-indexed
@@ -34,13 +33,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics
-from .backbones import (Backbone, UserState, UserTable, local_step, make_backbone,
+from .backbones import (PFEDREC_DROPOUT, Backbone, UserState, local_step, make_backbone,
                         make_user_state)
 from .config import ExperimentConfig
 from .data import (EvalSplit, InteractionLog, attach_eval_negatives, build_item_features,
                    choice_excluding, leave_one_out_split, load_interactions,
                    synthesize_interactions)
-from .numerics import check_finite, init_uniform
+from .numerics import Mlp, check_finite, init_uniform, relu_layers
 from .pretrain import PretrainConfig, train_autoencoder, train_rqvae
 from .privacy import apply_cdp, apply_ldp, clip_update
 from .rng import RngStream
@@ -163,7 +162,7 @@ class SavedState:
     adapter: Adapter                # with its semantic codes or hash parameters
     round: int
     backbone: list[np.ndarray]      # shared MLP weights then biases; none for fedmf/pfedrec
-    users: UserTable
+    users: UserState                # every user's, stacked
 
 
 def load_log(config: ExperimentConfig) -> InteractionLog:
@@ -239,7 +238,7 @@ class Simulation:
         # the warm-up trains the base table itself: adapter and base are one object
         self.base = FullEmbeddingTable(table)
         self.adapter: Adapter = self.base
-        self.user_states = UserTable.stack([
+        self.user_states = UserState.stack([
             make_user_state(config.backbone, config.k, u, self.streams, scale=config.user_scale)
             for u in range(self.log.n_users)])
 
@@ -311,27 +310,73 @@ class Simulation:
                 steps.append((local[sl], labels[sl]))
         return ClientPlan(u, rows, steps)
 
-    @property
-    def _lock_step(self) -> bool:
-        """Whether this round's clients train in lock step: fedmf with the
-        full table (every warm-up) or lora."""
-        return self.config.backbone == "fedmf" and self.adapter.kind in ("full", "lora")
-
     def _train(self, plans: list[ClientPlan], snapshot: list[np.ndarray], round_idx: int
                ) -> list[tuple[list[Upload], UserState, float]]:
-        """Train plans from the round's snapshot (adapter tensors, then the shared
-        MLP's): per plan, the client's upload, clipped and noised as `dp` says,
-        its new state and its mean loss (nan when it took no step). In lock
-        step (`_train_stacked`) or one after another (`_train_one`), each
-        client's result is the same whichever plans share the call."""
-        dp = self.config.dp
-        trained = (self._train_stacked(plans) if self._lock_step
-                   else [self._train_one(plan, round_idx) for plan in plans])
+        """Train plans in lock step from the round's snapshot (adapter tensors,
+        then the shared MLP's): per plan, the client's upload, clipped and
+        noised as `dp` says, its new state and its mean loss (nan when it took
+        no step). Each client's result is the same whichever plans share the call.
+
+        The plans' row sets are concatenated, and every other tensor (the
+        adapter's shared ones, the shared MLP, the private state) is stacked
+        over a leading client axis; clients are laid out by step count, most
+        first. Step s is one `local_step` of the first a clients, those with
+        an s-th step, over views of the stacked copies, so a client past its
+        last step is left alone. A short batch is padded with the client's
+        own first row and masked. Dropout masks come from each client's own
+        keyed generator.
+        """
+        cfg, dp, c = self.config.federation, self.config.dp, len(plans)
+        order = sorted(range(c), key=lambda j: -len(plans[j].steps))
+        clients = np.array([plans[j].client for j in order], dtype=np.int64)
+        sizes = np.array([len(plans[j].rows) for j in order], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        rows = np.concatenate([np.empty(0, np.int64), *(plans[j].rows for j in order)])
+        adapter = self.adapter.copy(rows, clients=c)
+        base = self.base.table[rows]
+        users = self.user_states[clients]
+        mlp = self.backbone.mlp
+        if mlp is not None:
+            mlp = dataclasses.replace(mlp, weights=[np.repeat(w[None], c, 0) for w in mlp.weights],
+                                      biases=[np.repeat(b[None], c, 0) for b in mlp.biases])
+
+        def clients_at(key) -> tuple[Backbone, UserState]:
+            """The shared MLP and states of clients `key`, as views."""
+            return Backbone(self.backbone.kind, None if mlp is None else mlp[key]), users[key]
+
+        # keyed, so leaving them out where no dropout runs moves no other draw
+        rngs = None
+        if any(m is not None and m.dropout > 0 for m in (mlp, users.mlp)):
+            rngs = [self.streams.generator("dropout", int(u), round_idx) for u in clients]
+        n_steps = [len(plans[j].steps) for j in order]
+        shape = (max(n_steps, default=0), c, cfg.batch_size)
+        items = np.broadcast_to(starts[:, None], shape).copy()
+        labels = np.zeros(shape, dtype=np.float32)
+        mask = np.zeros(shape, dtype=bool)
+        for j, p in enumerate(order):
+            for s, (local, y) in enumerate(plans[p].steps):
+                items[s, j, :len(local)] = local + starts[j]
+                labels[s, j, :len(y)] = y
+                mask[s, j, :len(local)] = True
+        losses = np.zeros(shape[:2])
+        item_indexed = self.adapter.item_indexed
+        for s in range(shape[0]):
+            a = sum(n > s for n in n_steps)
+            view = dataclasses.replace(adapter, **{
+                name: t[:ends[a - 1]] if i in item_indexed else t[:a]
+                for i, (name, t) in enumerate(zip(adapter.trained, adapter.trainable()))})
+            losses[s, :a] = local_step(*clients_at(slice(a)), view, base, items[s, :a],
+                                       labels[s, :a], cfg.lr, None if rngs is None else rngs[:a],
+                                       mask=mask[s, :a])
+
         results = []
-        for plan, (params, state, losses) in zip(plans, trained):
-            u = plan.client
-            tensors = [RowUpload(plan.rows, t) if i in self.adapter.item_indexed else t
-                       for i, t in enumerate(params)]
+        params = adapter.trainable()
+        for plan, j in zip(plans, np.argsort(order)):
+            u, n = plan.client, n_steps[j]
+            backbone, state = clients_at(j)
+            tensors = [RowUpload(plan.rows, t[starts[j]:ends[j]]) if i in item_indexed else t[j]
+                       for i, t in enumerate(params)] + _backbone_tensors(backbone)
             for t in tensors:
                 check_finite(t.values if isinstance(t, RowUpload) else t,
                              "the upload of client %d at round %d", u, round_idx)
@@ -345,74 +390,9 @@ class Simulation:
             if dp.mode == "ldp":
                 tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
                                     dp, self.streams.generator("dp", u, round_idx))
-            results.append((tensors, state, float(np.mean(losses)) if len(losses)
+            results.append((tensors, state, float(np.mean(losses[:n, j])) if n
                             else float("nan")))
         return results
-
-    def _train_one(self, plan: ClientPlan, round_idx: int
-                   ) -> tuple[list[np.ndarray], UserState, list[float]]:
-        """One client's local steps on private copies: its trained tensors
-        (the adapter's, rows only where item-indexed, then the shared MLP's),
-        its new state and its per-step losses."""
-        cfg, u = self.config.federation, plan.client
-        adapter = self.adapter.copy(plan.rows)
-        base = self.base.table[plan.rows]
-        backbone = self.backbone.copy()
-        state = self.user_states[u].copy()
-        # keyed, so leaving it out where no dropout runs moves no other draw
-        dropout = any(m is not None and m.dropout > 0 for m in (backbone.mlp, state.mlp))
-        rng = self.streams.generator("dropout", u, round_idx) if dropout else None
-        losses = [local_step(backbone, state, adapter, base, local, labels, cfg.lr, rng)
-                  for local, labels in plan.steps]
-        return adapter.trainable() + _backbone_tensors(backbone), state, losses
-
-    def _train_stacked(self, plans: list[ClientPlan]
-                       ) -> list[tuple[list[np.ndarray], UserState, np.ndarray]]:
-        """`_train_one` for C fedmf clients at once, in the order of `plans`.
-
-        Their row sets are concatenated, and every other tensor is stacked over
-        a leading client axis; clients are laid out by step count, most
-        first. Step s is one `local_step` over (a, batch) ids, where the first
-        a clients have an s-th step: they are views of the stacked copies, so
-        a client past its last step is left alone. A short batch is padded
-        with the client's own first row and masked. FedMF has no shared MLP.
-        """
-        cfg, c = self.config.federation, len(plans)
-        order = sorted(range(c), key=lambda j: -len(plans[j].steps))
-        plans = [plans[j] for j in order]
-        sizes = np.array([len(p.rows) for p in plans], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        rows = np.concatenate([np.empty(0, np.int64), *(p.rows for p in plans)])
-        adapter = self.adapter.copy(rows, clients=c)
-        base = self.base.table[rows]
-        users = self.user_states.embedding[[p.client for p in plans]]
-
-        n_steps = [len(p.steps) for p in plans]
-        shape = (max(n_steps, default=0), c, cfg.batch_size)
-        items = np.broadcast_to(starts[:, None], shape).copy()
-        labels = np.zeros(shape, dtype=np.float32)
-        mask = np.zeros(shape, dtype=bool)
-        for j, plan in enumerate(plans):
-            for s, (local, y) in enumerate(plan.steps):
-                items[s, j, :len(local)] = local + starts[j]
-                labels[s, j, :len(y)] = y
-                mask[s, j, :len(local)] = True
-        losses = np.zeros(shape[:2])
-        item_indexed = self.adapter.item_indexed
-        for s in range(shape[0]):
-            a = sum(n > s for n in n_steps)
-            view = dataclasses.replace(adapter, **{
-                name: t[:ends[a - 1]] if i in item_indexed else t[:a]
-                for i, (name, t) in enumerate(zip(adapter.trained, adapter.trainable()))})
-            losses[s, :a] = local_step(self.backbone, UserState(embedding=users[:a]), view,
-                                       base, items[s, :a], labels[s, :a], cfg.lr,
-                                       mask=mask[s, :a])
-        params = adapter.trainable()
-        trained = [([t[start:end] if i in item_indexed else t[j] for i, t in enumerate(params)],
-                    UserState(embedding=users[j]), losses[:n, j])
-                   for j, (n, start, end) in enumerate(zip(n_steps, starts, ends))]
-        return [trained[j] for j in np.argsort(order)]
 
     def client_upload_bytes(self) -> int:
         """What each client is charged: the paper's dense payload of the
@@ -429,9 +409,9 @@ class Simulation:
         n_adapter = len(self.adapter.trainable())
         snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
         plans = [self._plan(int(u), round_idx) for u in clients]
-        chunk = LOCK_STEP_CLIENTS if self._lock_step else 1
-        results = [result for start in range(0, len(plans), chunk)
-                   for result in self._train(plans[start:start + chunk], snapshot, round_idx)]
+        results = [result for start in range(0, len(plans), LOCK_STEP_CLIENTS)
+                   for result in self._train(plans[start:start + LOCK_STEP_CLIENTS], snapshot,
+                                             round_idx)]
 
         weights = None
         if cfg.aggregation == "weighted":
@@ -509,7 +489,7 @@ def save_sim_state(sim: Simulation, out_dir: str | Path) -> None:
     if users.embedding is not None:
         arrays["user_emb"] = users.embedding
     else:
-        for l, (w, b) in enumerate(zip(users.weights, users.biases)):
+        for l, (w, b) in enumerate(zip(users.mlp.weights, users.mlp.biases)):
             arrays[f"user_w{l}"], arrays[f"user_b{l}"] = w, b
     np.savez(out / "sim_state.npz", **arrays)
 
@@ -532,8 +512,9 @@ def load_sim_state(run_dir: str | Path) -> SavedState:
         return [arrays[f"{prefix}{l}"]
                 for l in range(sum(name.startswith(prefix) for name in arrays))]
 
-    users = UserTable(embedding=arrays["user_emb"]) if "user_emb" in arrays \
-        else UserTable(weights=layers("user_w"), biases=layers("user_b"))
+    weights = layers("user_w")
+    users = UserState(embedding=arrays["user_emb"]) if "user_emb" in arrays else UserState(
+        mlp=Mlp(weights, layers("user_b"), relu_layers(len(weights)), PFEDREC_DROPOUT))
     return SavedState(base, adapter, int(arrays["round"][0]),
                       layers("wg_w") + layers("wg_b"), users)
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .backbones import Backbone, UserState, UserTable, score
+from .backbones import Backbone, UserState, score
 from .data import EvalSplit
 
 
@@ -35,7 +35,7 @@ def rank_test_item(backbone: Backbone, state: UserState, adapter, base: np.ndarr
     return rank_from_scores(float(logits[0]), logits[1:])
 
 
-def evaluate(backbone: Backbone, user_states: UserTable | dict[int, UserState],
+def evaluate(backbone: Backbone, user_states: UserState | dict[int, UserState],
              adapter, base: np.ndarray, split: EvalSplit,
              ks: tuple[int, ...] = (10, 20)) -> dict[str, float]:
     """Mean HR@K / NDCG@K over test users, as percentages to two decimals."""
@@ -70,9 +70,10 @@ def top_k_items(backbone: Backbone, state: UserState, adapter, base: np.ndarray,
     mask = np.ones(n_items, dtype=bool)
     mask[user_train_positives] = False
     candidates = np.flatnonzero(mask)
-    emb, _ = adapter.compose(base, candidates)
-    logits, _ = score(backbone, state, emb, mode="eval")
-    neg = -logits
+    # blocks (one, empty, if no candidate is left) keep temporaries small enough to reuse
+    neg = -np.concatenate([
+        score(backbone, state, adapter.compose(base, candidates[s:s + 2048])[0])[0]
+        for s in range(0, max(len(candidates), 1), 2048)])
     if len(neg) > k:
         # partition puts NaN last; a NaN k-th score (fewer than k finite) keeps all
         keep = np.flatnonzero(~(neg > np.partition(neg, k - 1)[k - 1]))

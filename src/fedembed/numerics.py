@@ -9,7 +9,8 @@ in float64, where the central-difference oracle is meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,12 +36,21 @@ def init_layer_weight(rng: np.random.Generator, fan_out: int, fan_in: int,
     return rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(dtype)
 
 
-def scatter_rows(like: np.ndarray, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The gradient of the gather `like[idx]`: zeros shaped like `like`, with
-    each `values[pos]` added to row `idx[pos]` in C order of the positions."""
-    out = np.zeros_like(like)
-    np.add.at(out, idx, values)
-    return out
+class RowGrad(NamedTuple):
+    """A gradient zero off `rows`: `values[i]` is row `rows[i]`'s, rows counted
+    over a parameter's axes before `values.shape[1:]`, C stacked tables as one."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def scatter_rows(idx: np.ndarray, values: np.ndarray, dtype) -> RowGrad:
+    """The gradient of the gather `table[idx]` on the rows it touched: their
+    sorted ids, each with its `values[pos]` added in C order of the positions."""
+    rows, slot = np.unique(idx, return_inverse=True)
+    out = np.zeros((len(rows),) + values.shape[idx.ndim:], dtype)
+    np.add.at(out, slot.reshape(idx.shape), values)
+    return RowGrad(rows, out)
 
 
 def level_rows(codes: np.ndarray, size: int) -> np.ndarray:
@@ -73,7 +83,8 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Mlp:
-    """Fully connected network; weights[l] has shape (out_l, in_l)."""
+    """Fully connected network; weights[l] has shape (out_l, in_l), biases[l]
+    (out_l,). C clients' networks stack them as (C, out_l, in_l) and (C, out_l)."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -87,9 +98,9 @@ class Mlp:
             if act not in ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         for l in range(1, len(self.weights)):
-            if self.weights[l].shape[1] != self.weights[l - 1].shape[0]:
-                raise ValueError(f"layer {l} input dim {self.weights[l].shape[1]} != "
-                                 f"layer {l - 1} output dim {self.weights[l - 1].shape[0]}")
+            if self.weights[l].shape[-1] != self.weights[l - 1].shape[-2]:
+                raise ValueError(f"layer {l} input dim {self.weights[l].shape[-1]} != "
+                                 f"layer {l - 1} output dim {self.weights[l - 1].shape[-2]}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -105,14 +116,15 @@ class Mlp:
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[1]
+        return self.weights[0].shape[-1]
 
     def params(self) -> list[np.ndarray]:
         return list(self.weights) + list(self.biases)
 
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases],
-                   list(self.activations), self.dropout)
+    def __getitem__(self, key) -> "Mlp":
+        """Networks `key` of stacked ones: views for an int or a slice."""
+        return replace(self, weights=[w[key] for w in self.weights],
+                       biases=[b[key] for b in self.biases])
 
     def param_bytes(self) -> int:
         return sum(p.size for p in self.params()) * 4
@@ -126,21 +138,34 @@ class MlpCache:
     n_layers: int = 0
 
 
-def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
-                rng: np.random.Generator | None = None) -> tuple[np.ndarray, MlpCache]:
-    """Forward pass over a (batch, dim) matrix.
+def _uniforms(rng, samples: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray:
+    """Dropout's uniforms: one generator draws a (batch, width) batch whole;
+    stacked, client c's `rng[c]` draws in order the rows `samples[c]` marks."""
+    if len(shape) == 2:
+        return rng.random(shape)
+    out = np.ones(shape)
+    for r, o, real in zip(rng, out, samples):
+        o[real] = r.random((int(real.sum()), shape[-1]))
+    return out
+
+
+def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval", rng=None,
+                samples: np.ndarray | None = None) -> tuple[np.ndarray, MlpCache]:
+    """Forward pass over a (batch, dim) matrix, or over (C, batch, dim)
+    through C stacked networks.
 
     Returns the output and a cache sufficient for exact backprop. Dropout is
     applied to hidden activations in train mode only, with masks drawn from
-    ``rng``.
+    ``rng``: a generator, or one per client of a stacked batch, whose real
+    rows ``samples`` (C, batch) marks.
     """
     if mode not in ("train", "eval"):
         raise ValueError("mode must be 'train' or 'eval'")
     x = np.asarray(x)
-    if x.ndim != 2:
+    if x.ndim not in (2, 3):
         raise ValueError(f"mlp input must be (batch, {model.in_dim}), got shape {x.shape}")
-    if x.shape[1] != model.in_dim:
-        raise ValueError(f"input dim {x.shape[1]} != model input dim {model.in_dim}")
+    if x.shape[-1] != model.in_dim:
+        raise ValueError(f"input dim {x.shape[-1]} != model input dim {model.in_dim}")
 
     train = mode == "train" and model.dropout > 0.0
     if train and rng is None:
@@ -151,12 +176,12 @@ def mlp_forward(model: Mlp, x: np.ndarray, mode: str = "eval",
     h = x
     for l, (w, b, act) in enumerate(zip(model.weights, model.biases, model.activations)):
         cache.inputs.append(h)
-        z = h @ w.T + b
+        z = h @ w.swapaxes(-1, -2) + b[..., None, :]
         a = _act(act, z)
         cache.outputs.append(a)
         last = l == len(model.weights) - 1
         if train and not last:
-            mask = (rng.random(a.shape) < keep).astype(a.dtype) / keep
+            mask = (_uniforms(rng, samples, a.shape) < keep).astype(a.dtype) / keep
             cache.masks.append(mask)
             h = a * mask
         else:
@@ -192,16 +217,21 @@ def mlp_backward(model: Mlp, cache: MlpCache, output_grad: np.ndarray
             gz = g * a * (1.0 - a)
         else:
             gz = g
-        w_grads[l] = gz.T @ cache.inputs[l]
-        b_grads[l] = gz.sum(axis=0)
+        w_grads[l] = gz.swapaxes(-1, -2) @ cache.inputs[l]
+        b_grads[l] = gz.sum(axis=-2)
         g = gz @ model.weights[l]
     return w_grads, b_grads, g
 
 
 def sgd_step(params, grads, lr: float) -> None:
     """p -= lr*g in place, elementwise; accepts one array or a list of arrays.
-    A read-only (frozen) array raises."""
+    A `RowGrad` steps its rows only. A read-only (frozen) array raises."""
     if isinstance(params, np.ndarray):
+        if isinstance(grads, RowGrad):
+            lead = params.shape[:params.ndim - grads.values.ndim + 1]
+            params[np.unravel_index(grads.rows, lead)] -= \
+                lr * grads.values.astype(params.dtype, copy=False)
+            return
         grads = np.asarray(grads, dtype=params.dtype)
         if grads.shape != params.shape:
             raise ValueError(f"grad shape {grads.shape} != param shape {params.shape}")

@@ -185,12 +185,11 @@ def train_rqvae(features: np.ndarray, config: PretrainConfig, streams: RngStream
         g_z = g_zhat + (2.0 * config.beta / b) * residuals[1:].sum(axis=0)
         enc_wg, enc_bg, _ = mlp_backward(encoder, enc_cache, g_z)
 
-        book_grad = scatter_rows(model.codebooks.reshape(-1, z.shape[1]),
-                                 level_rows(codes, config.codebook_size),
-                                 (-2.0 / b) * residuals[1:].swapaxes(0, 1))
+        book_grad = scatter_rows(level_rows(codes, config.codebook_size),
+                                 (-2.0 / b) * residuals[1:].swapaxes(0, 1),
+                                 model.codebooks.dtype)
         sgd_step([model.codebooks, *decoder.params(), *encoder.params()],
-                 [book_grad.reshape(model.codebooks.shape), *dec_wg, *dec_bg, *enc_wg, *enc_bg],
-                 config.lr)
+                 [book_grad, *dec_wg, *dec_bg, *enc_wg, *enc_bg], config.lr)
 
     return assign_codes(x_all, model), model
 

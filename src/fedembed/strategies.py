@@ -4,7 +4,8 @@ reweighting, or residual-quantized codebooks).
 
 Every adapter exposes the same surface: ``compose`` builds final embeddings
 for a batch of item ids and returns a cache, ``grads`` turns an upstream
-embedding gradient into parameter gradients aligned with ``trainable()``,
+embedding gradient into parameter gradients aligned with ``trainable()``
+(a gathered table's as a ``RowGrad`` of the rows it touched),
 and ``serialize_upload`` produces the exact little-endian float32 byte
 payload a client would transmit. ``comm_cost`` predicts that payload size
 without building anything.
@@ -23,12 +24,13 @@ gives a client copy that holds only those rows of both: it takes local item
 ids ``0..len(rows)-1`` against the base rows ``base[rows]``, and every other
 trained tensor is copied whole.
 
-The full table and lora also train a chunk of clients at once.
-``copy(rows, clients=C)`` holds the C clients' row sets concatenated and
-stacks every other trained tensor over a leading client axis (lora's ``b``
-becomes ``(C, k, rank)``). ``compose`` and ``grads`` then take ``(C, B)`` ids
-into the concatenated rows, each client's ids within its own segment, and
-give ``(C, B, k)`` embeddings and gradients aligned with that copy.
+Every adapter also trains a chunk of clients at once: ``copy(rows, clients=C)``
+concatenates the C clients' row sets and stacks every other trained tensor
+over a leading client axis (lora's ``b`` becomes ``(C, k, rank)``, the hash
+table ``(C, d_H, k)``). ``compose`` and ``grads`` then take ``(C, B)`` ids,
+client c's in its own segment of the rows, and give ``(C, B, k)``
+embeddings; hash and rqvae read client c's table as rows ``c * d + idx`` of
+the C stacked tables of d rows each, flattened.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class FullEmbeddingTable(Trained):
         items = _as_items(items, self.n_items)
         return self.table[items].copy(), {"items": items}
 
-    def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
-        return [scatter_rows(self.table, cache["items"], g)]
+    def grads(self, cache: dict, g: np.ndarray) -> list:
+        return [scatter_rows(cache["items"], g, self.table.dtype)]
 
 
 # the full strategy's adapter, under the name callers outside this module use
@@ -170,10 +172,18 @@ class LoraAdapter(Trained):
         out = base[items] + a_rows @ self.b.swapaxes(-1, -2)
         return out, {"items": items, "a_rows": a_rows}
 
-    def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
+    def grads(self, cache: dict, g: np.ndarray) -> list:
         db = g.swapaxes(-1, -2) @ cache["a_rows"]
-        return [scatter_rows(self.a, cache["items"], g @ self.b),
+        return [scatter_rows(cache["items"], g @ self.b, self.a.dtype),
                 db.astype(self.b.dtype, copy=False)]
+
+
+def _client_rows(idx: np.ndarray, per_client: int) -> np.ndarray:
+    """A map `idx` into one table, (B, J), or into C stacked copies of
+    `per_client` rows each, (C, B, J), as rows of the whole flattened to (-1, k)."""
+    if idx.ndim == 2:
+        return idx
+    return idx + per_client * np.arange(len(idx))[:, None, None]
 
 
 def hash_index(item_ids, a: int, b: int, p: int, d_h: int) -> np.ndarray:
@@ -192,18 +202,20 @@ class HashAdapter(Trained):
     Hash parameters are fixed and never trained; `idx` holds every item's h indices.
     """
 
-    table: np.ndarray                  # (d_H, k)
+    table: np.ndarray                  # (d_H, k); (C, d_H, k) in a copy for C clients
     hash_a: np.ndarray                 # (h,)
     hash_b: np.ndarray                 # (h,)
     p: int
     idx: np.ndarray                    # (n, h) rows of `table` per item
-    w1: np.ndarray | None = None       # (h1, h)
-    w2: np.ndarray | None = None       # (h, h1)
+    w1: np.ndarray | None = None       # (h1, h); (C, h1, h) likewise
+    w2: np.ndarray | None = None       # (h, h1); (C, h, h1) likewise
     kind: str = "hash"
     trained: ClassVar[tuple[str, ...]] = ("table", "w1", "w2")
     item_maps: ClassVar[tuple[str, ...]] = ("idx",)
 
     def __post_init__(self):
+        if self.d_h < 1:
+            raise ValueError(f"hash table size d_h must be >= 1, got {self.d_h}")
         if np.any(self.hash_a == 0):
             raise ValueError("hash parameter a must be nonzero")
         if np.any(self.hash_a == self.hash_b):
@@ -211,7 +223,7 @@ class HashAdapter(Trained):
         params = np.concatenate([self.hash_a, self.hash_b])
         if np.any((params < 0) | (params >= self.p)):
             raise ValueError(f"hash parameters must lie in [0, p={self.p})")
-        if self.p < self.table.shape[0]:
+        if self.p < self.d_h:
             raise ValueError("p must be >= table size d_H")
         if (self.w1 is None) != (self.w2 is None):
             raise ValueError("senet needs both w1 and w2")
@@ -227,7 +239,7 @@ class HashAdapter(Trained):
 
     @property
     def d_h(self) -> int:
-        return self.table.shape[0]
+        return self.table.shape[-2]
 
     def distinct_index_tuples(self) -> int:
         """How many distinct index tuples the items get, against `representation_capacity`."""
@@ -235,29 +247,28 @@ class HashAdapter(Trained):
 
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
         items = _as_items(items, len(self.idx))
-        idx = self.idx[items]
-        v = self.table[idx]                      # (B, h, k)
+        idx = _client_rows(self.idx[items], self.d_h)
+        v = self.table.reshape(-1, self.table.shape[-1])[idx]       # (B, h, k)
         cache: dict = {"items": items, "idx": idx, "v": v}
         if not self.senet:
-            out = base[items] + v.mean(axis=1)
-            return out, cache
-        zeros = [np.zeros(len(w), w.dtype) for w in (self.w1, self.w2)]
+            return base[items] + v.mean(axis=-2), cache
+        zeros = [np.zeros(w.shape[:-1], w.dtype) for w in (self.w1, self.w2)]
         net = Mlp([self.w1, self.w2], zeros, ["relu", "sigmoid"])
-        w, net_cache = mlp_forward(net, v.mean(axis=2))     # (B, h), in (0, 1)
-        out = base[items] + np.einsum("bh,bhk->bk", w, v)
+        w, net_cache = mlp_forward(net, v.mean(axis=-1))    # (B, h), in (0, 1)
+        out = base[items] + np.einsum("...h,...hk->...k", w, v)
         cache.update({"w": w, "net": net, "net_cache": net_cache})
         return out, cache
 
-    def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
+    def grads(self, cache: dict, g: np.ndarray) -> list:
         idx, v = cache["idx"], cache["v"]
         if not self.senet:
-            dv = np.broadcast_to(g[:, None, :] / self.n_hashes, v.shape)
-            return [scatter_rows(self.table, idx, dv)]
-        dw = np.einsum("bk,bhk->bh", g, v)            # dL/dw
+            dv = np.broadcast_to(g[..., None, :] / self.n_hashes, v.shape)
+            return [scatter_rows(idx, dv, self.table.dtype)]
+        dw = np.einsum("...k,...hk->...h", g, v)      # dL/dw
         (dw1, dw2), _, ds = mlp_backward(cache["net"], cache["net_cache"], dw)
         # the direct path, then the squeeze path through each vector's mean
-        dv = cache["w"][:, :, None] * g[:, None, :] + ds[:, :, None] / v.shape[2]
-        return [scatter_rows(self.table, idx, dv), dw1.astype(self.w1.dtype, copy=False),
+        dv = cache["w"][..., None] * g[..., None, :] + ds[..., None] / v.shape[-1]
+        return [scatter_rows(idx, dv, self.table.dtype), dw1.astype(self.w1.dtype, copy=False),
                 dw2.astype(self.w2.dtype, copy=False)]
 
 
@@ -266,7 +277,7 @@ class RqVaeAdapter(Trained):
     """Multi-level codebooks plus frozen per-item semantic codes; `idx` holds
     the codes as rows of the codebooks stacked into one (l*d_R, k) table."""
 
-    codebooks: np.ndarray    # (l, d_R, k)
+    codebooks: np.ndarray    # (l, d_R, k); (C, l, d_R, k) in a copy for C clients
     codes: np.ndarray        # (n, l) int, immutable during federation
     kind: str = "rqvae"
     idx: np.ndarray = field(init=False, repr=False)
@@ -274,7 +285,7 @@ class RqVaeAdapter(Trained):
     item_maps: ClassVar[tuple[str, ...]] = ("codes",)
 
     def __post_init__(self):
-        levels, d_r, _ = self.codebooks.shape
+        levels, d_r, _ = self.codebooks.shape[-3:]
         if self.codes.shape[1] != levels:
             raise ValueError("codes length must equal number of codebook levels")
         if self.codes.size and (self.codes.min() < 0 or self.codes.max() >= d_r):
@@ -284,11 +295,11 @@ class RqVaeAdapter(Trained):
 
     @property
     def levels(self) -> int:
-        return self.codebooks.shape[0]
+        return self.codebooks.shape[-3]
 
     @property
     def d_r(self) -> int:
-        return self.codebooks.shape[1]
+        return self.codebooks.shape[-2]
 
     @property
     def n_items(self) -> int:
@@ -296,18 +307,17 @@ class RqVaeAdapter(Trained):
 
     def compose(self, base: np.ndarray, items) -> tuple[np.ndarray, dict]:
         items = _as_items(items, self.n_items)
-        idx = self.idx[items]                    # (B, l)
-        rows = self.codebooks.reshape(-1, self.codebooks.shape[2])
+        idx = _client_rows(self.idx[items], self.levels * self.d_r)     # (B, l)
+        rows = self.codebooks.reshape(-1, self.codebooks.shape[-1])
         out = base[items]
         for j in range(self.levels):
-            out = out + rows[idx[:, j]]
+            out = out + rows[idx[..., j]]
         return out, {"items": items, "idx": idx}
 
-    def grads(self, cache: dict, g: np.ndarray) -> list[np.ndarray]:
+    def grads(self, cache: dict, g: np.ndarray) -> list:
         idx = cache["idx"]
-        d = scatter_rows(self.codebooks.reshape(-1, g.shape[-1]), idx,
-                         np.repeat(g[:, None, :], self.levels, axis=1))
-        return [d.reshape(self.codebooks.shape)]
+        return [scatter_rows(idx, np.broadcast_to(g[..., None, :], idx.shape + g.shape[-1:]),
+                             self.codebooks.dtype)]
 
 
 Adapter = FullEmbeddingTable | LoraAdapter | HashAdapter | RqVaeAdapter

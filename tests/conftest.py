@@ -9,6 +9,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from fedembed.numerics import RowGrad  # noqa: E402
+
 
 def central_diff(f, arrays, eps=1e-4):
     """Central-difference gradient of the scalar f() w.r.t. each array.
@@ -33,8 +35,20 @@ def central_diff(f, arrays, eps=1e-4):
     return grads
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Normwise relative disagreement between two gradient tensors."""
+def dense_grad(grad, like: np.ndarray) -> np.ndarray:
+    """A gradient as an array shaped like its parameter `like`: a `RowGrad`
+    holds its values on its rows and zeros elsewhere."""
+    if not isinstance(grad, RowGrad):
+        return grad
+    out = np.zeros(like.shape, dtype=grad.values.dtype)
+    out.reshape((-1,) + grad.values.shape[1:])[grad.rows] = grad.values
+    return out
+
+
+def relative_error(analytic, numeric: np.ndarray) -> float:
+    """Normwise relative disagreement between two gradient tensors; a
+    `RowGrad` is compared as the dense gradient it stands for."""
+    analytic = dense_grad(analytic, numeric)
     num = np.linalg.norm(np.asarray(analytic) - np.asarray(numeric))
     den = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-8)
     return float(num / den)

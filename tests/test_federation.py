@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -179,31 +180,48 @@ def round_snapshot(sim):
                                       else sim.backbone.mlp.params())
 
 
+BACKBONES = ["fedmf", "fedncf", "pfedrec"]
+STRATEGIES = pytest.mark.parametrize("kind,senet", [("full", False), ("lora", False),
+                                                    ("hash", False), ("hash", True),
+                                                    ("rqvae", False)])
+
+
+def private_copies(sim, plan, round_idx):
+    """A client's private copies of the shared MLP and of its state, and its
+    dropout generator (None where no dropout runs), as a client trained alone."""
+    backbone = copy.deepcopy(sim.backbone)
+    state = copy.deepcopy(sim.user_states[plan.client])
+    dropout = any(m is not None and m.dropout > 0 for m in (backbone.mlp, state.mlp))
+    rng = sim.streams.generator("dropout", plan.client, round_idx) if dropout else None
+    return backbone, state, rng
+
+
 def dense_reference_client(sim, plan, round_idx):
     """A client that copies the whole adapter and steps it on the global item
     ids `plan.rows[local]` of a `Simulation._plan`."""
     cfg = sim.config.federation
-    adapter, backbone = sim.adapter.copy(), sim.backbone.copy()
-    state = sim.user_states[plan.client].copy()
-    dropout_rng = sim.streams.generator("dropout", plan.client, round_idx)
+    adapter = sim.adapter.copy()
+    backbone, state, rng = private_copies(sim, plan, round_idx)
     losses = [local_step(backbone, state, adapter, sim.base.table, plan.rows[local], labels,
-                         cfg.lr, dropout_rng) for local, labels in plan.steps]
+                         cfg.lr, rng) for local, labels in plan.steps]
     shared = [] if backbone.mlp is None else backbone.mlp.params()
     return adapter.trainable() + shared, state, float(np.mean(losses))
 
 
 def per_client_reference(sim, plans, snapshot, round_idx):
-    """`Simulation._train` for fedmf as clients trained before lock step: one
-    after another, each on private copies of its rows, then clipped and noised."""
+    """`Simulation._train` as clients trained before lock step: one after
+    another, each on private copies of its rows, the adapter's shared
+    tensors, the shared MLP and its state, then clipped and noised."""
     cfg, dp = sim.config.federation, sim.config.dp
     results = []
     for plan in plans:
         adapter, base = sim.adapter.copy(plan.rows), sim.base.table[plan.rows]
-        state = sim.user_states[plan.client].copy()
-        losses = [local_step(sim.backbone, state, adapter, base, local, labels, cfg.lr)
+        backbone, state, rng = private_copies(sim, plan, round_idx)
+        losses = [local_step(backbone, state, adapter, base, local, labels, cfg.lr, rng)
                   for local, labels in plan.steps]
         tensors = [RowUpload(plan.rows, t) if i in sim.adapter.item_indexed else t
                    for i, t in enumerate(adapter.trainable())]
+        tensors += [] if backbone.mlp is None else backbone.mlp.params()
         if dp.clip is not None:
             tensors = [RowUpload(t.rows, privacy.clip_update(t.values, s[t.rows], dp.clip))
                        if isinstance(t, RowUpload) else privacy.clip_update(t, s, dp.clip)
@@ -229,7 +247,7 @@ def server_state(sim):
     user's state, and the codes or hash parameters."""
     users = sim.user_states
     arrays = round_snapshot(sim) + [sim.base.table]
-    arrays += [users.embedding] if users.embedding is not None else users.weights + users.biases
+    arrays += [users.embedding] if users.embedding is not None else users.mlp.params()
     arrays += [getattr(sim.adapter, name) for name in ("codes", "hash_a", "hash_b")
                if hasattr(sim.adapter, name)]
     return arrays
@@ -239,11 +257,24 @@ def server_state_bytes(sim):
     return [a.tobytes() for a in server_state(sim)]
 
 
+# cells whose single client of `test_row_client_matches_dense_reference` keeps
+# the dense reference's bytes; every other cell sums in another order in lock step
+DENSE_REFERENCE_BYTES = {("fedmf", "hash", False), ("fedmf", "hash", True),
+                         ("fedmf", "rqvae", False)}
+
+
+def adapter_rounds(sim, n=2):
+    """Walk `sim` through `n` rounds, yielding before each: a warm-up round,
+    then adapter rounds (the full strategy stays on the table)."""
+    for _ in range(n):
+        sim._maybe_transition()
+        yield
+        sim.run_round()
+
+
 class TestClientRound:
-    @pytest.mark.parametrize("backbone", ["fedmf", "fedncf", "pfedrec"])
-    @pytest.mark.parametrize("kind,senet", [("full", False), ("lora", False),
-                                            ("hash", False), ("hash", True),
-                                            ("rqvae", False)])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @STRATEGIES
     def test_row_client_matches_dense_reference(self, kind, senet, backbone):
         cfg = small_config(**{"strategy.kind": kind, "strategy.senet": senet,
                               "backbone": backbone, "federation.warmup_rounds": 1,
@@ -261,7 +292,7 @@ class TestClientRound:
         assert len(tensors) == len(snapshot)
         got = [densify(t, s) for t, s in zip(tensors, snapshot)]
         assert np.isfinite(loss)
-        if sim._lock_step:
+        if (backbone, kind, senet) not in DENSE_REFERENCE_BYTES:
             # lock step sums in another order; the per-client reference test
             # bounds the difference over whole rounds
             assert loss == pytest.approx(want_loss, rel=1e-6)
@@ -276,10 +307,8 @@ class TestClientRound:
             (rows, values), *_ = tensors
             assert 0 < len(rows) < sim.log.n_items and len(values) == len(rows)
 
-    @pytest.mark.parametrize("backbone", ["fedmf", "fedncf", "pfedrec"])
-    @pytest.mark.parametrize("kind,senet", [("full", False), ("lora", False),
-                                            ("hash", False), ("hash", True),
-                                            ("rqvae", False)])
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @STRATEGIES
     def test_training_leaves_the_server_state_untouched(self, kind, senet, backbone):
         # clients step their copies in place, so a live tensor handed to a
         # client would move the server's state here
@@ -335,17 +364,17 @@ class TestClientRound:
             assert np.array_equal(plan.rows[local], items)
             assert labels.tobytes() == want_labels.tobytes()
 
-    @pytest.mark.parametrize("backbone", ["fedncf", "fedmf"])
     @pytest.mark.parametrize("dp", [{}, {"dp.mode": "ldp", "dp.delta": 0.01, "dp.clip": 0.05}],
                              ids=["no-dp", "ldp-clip"])
-    def test_client_results_do_not_depend_on_training_order(self, dp, backbone):
-        # fedmf trains the plans of one call in lock step, fedncf one after another
-        cfg = small_config(**{"backbone": backbone, "federation.warmup_rounds": 1,
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @STRATEGIES
+    def test_client_results_do_not_depend_on_training_order(self, kind, senet, backbone, dp):
+        cfg = small_config(**{"strategy.kind": kind, "strategy.senet": senet,
+                              "backbone": backbone, "federation.warmup_rounds": 1,
                               "federation.sample_ratio": 0.5, "federation.batch_size": 8,
                               **dp})
         sim = Simulation(cfg)
-        for _ in range(2):            # a warm-up round, then a lora round
-            sim._maybe_transition()
+        for _ in adapter_rounds(sim):
             snapshot = round_snapshot(sim)
             plans = [sim._plan(int(u), sim.round) for u in
                      select_clients(sim.log.n_users, 0.5, sim.streams, sim.round)]
@@ -360,24 +389,23 @@ class TestClientRound:
                     assert [t.tobytes() for t in state_tensors(state)] == \
                         [t.tobytes() for t in state_tensors(state_w)]
                     assert np.float64(loss).tobytes() == np.float64(loss_w).tobytes()
-            sim.run_round()
 
     @pytest.mark.parametrize("setting", [{}, {"dp.mode": "ldp", "dp.delta": 0.01,
                                               "dp.clip": 0.05},
                                          {"data.min_interactions": 0}],
                              ids=["no-dp", "ldp-clip", "no-step"])
-    @pytest.mark.parametrize("kind", ["full", "lora"])
-    def test_lock_step_matches_the_per_client_reference(self, kind, setting):
-        cfg = small_config(**{"strategy.kind": kind, "federation.warmup_rounds": 1,
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @STRATEGIES
+    def test_lock_step_matches_the_per_client_reference(self, kind, senet, backbone, setting):
+        cfg = small_config(**{"strategy.kind": kind, "strategy.senet": senet,
+                              "backbone": backbone, "federation.warmup_rounds": 1,
                               "federation.sample_ratio": 0.5, "federation.lr": 0.5,
                               "federation.batch_size": 8, **setting})
         engine, reference = Simulation(cfg), Simulation(cfg)
         reference._train = lambda plans, snapshot, r: per_client_reference(
             reference, plans, snapshot, r)
         no_step = []
-        for _ in range(3):      # for lora: a warm-up round, then two lora rounds
-            engine._maybe_transition()
-            assert engine._lock_step
+        for _ in range(3):      # a warm-up round, then two adapter rounds
             no_step += [u for u in select_clients(engine.log.n_users, 0.5, engine.streams,
                                                   engine.round)
                         if not len(engine.split.train_positives[u])]
@@ -388,13 +416,15 @@ class TestClientRound:
         for a, b in zip(server_state(engine), server_state(reference)):
             np.testing.assert_allclose(a, b, rtol=1e-4, atol=1e-6)
 
-    def test_chunks_give_the_bytes_of_one_client_calls(self):
-        cfg = small_config(**{"data.users": 200, "federation.sample_ratio": 1.0,
-                              "federation.warmup_rounds": 1, "federation.batch_size": 8})
+    @pytest.mark.parametrize("backbone", BACKBONES)
+    @STRATEGIES
+    def test_chunks_give_the_bytes_of_one_client_calls(self, kind, senet, backbone):
+        cfg = small_config(**{"strategy.kind": kind, "strategy.senet": senet,
+                              "backbone": backbone, "data.users": LOCK_STEP_CLIENTS + 6,
+                              "federation.sample_ratio": 1.0, "federation.warmup_rounds": 1,
+                              "federation.batch_size": 8})
         sim = Simulation(cfg)
-        for _ in range(2):            # a warm-up round, then a lora round
-            sim._maybe_transition()
-            assert sim._lock_step
+        for _ in adapter_rounds(sim):     # a warm-up round, then an adapter round
             snapshot = round_snapshot(sim)
             plans = [sim._plan(u, sim.round) for u in range(sim.log.n_users)]
             chunked = [result for start in range(0, len(plans), LOCK_STEP_CLIENTS)
@@ -403,9 +433,9 @@ class TestClientRound:
             for plan, (up, state, loss) in zip(plans, chunked):
                 [(up_1, state_1, loss_1)] = sim._train([plan], snapshot, sim.round)
                 assert upload_bytes(up) == upload_bytes(up_1)
-                assert state.embedding.tobytes() == state_1.embedding.tobytes()
+                assert [t.tobytes() for t in state_tensors(state)] == \
+                    [t.tobytes() for t in state_tensors(state_1)]
                 assert np.float64(loss).tobytes() == np.float64(loss_1).tobytes()
-            sim.run_round()
 
     def test_zero_local_epochs_returns_snapshot_bits(self):
         sim = Simulation(small_config(**{"federation.local_epochs": 0}))
@@ -488,7 +518,6 @@ class TestRoundMemory:
                               "federation.sample_ratio": 0.1, "federation.batch_size": 32,
                               "federation.rounds": 1, "federation.warmup_rounds": 1})
         sim = Simulation(cfg)
-        assert sim._lock_step
         tracemalloc.start()
         try:
             sim.run_round()
@@ -498,6 +527,32 @@ class TestRoundMemory:
         assert len(sim.reports[0].clients) == 180
         # chunks of 64 peaked at 8.1 MB; all 180 clients stacked at once at 16.9 MB
         assert peak < 12e6
+
+
+    def test_a_serve_shaped_rqvae_chunk_steps_only_the_touched_rows(self):
+        # one chunk at serve-rqvae's shape: l = 4 codebooks of 256 rows, k = 32
+        cfg = small_config(**{"strategy.kind": "rqvae", "strategy.levels": 4,
+                              "strategy.d_r": 256, "data.users": LOCK_STEP_CLIENTS,
+                              "data.items": 3706, "data.min_interactions": 6,
+                              "data.max_interactions": 30, "federation.sample_ratio": 1.0,
+                              "federation.warmup_rounds": 1, "federation.local_epochs": 4,
+                              "federation.batch_size": 64, "federation.lr": 1.0})
+        sim = Simulation(cfg)
+        sim.run_round()
+        sim._maybe_transition()
+        snapshot = round_snapshot(sim)
+        plans = [sim._plan(u, sim.round) for u in range(LOCK_STEP_CLIENTS)]
+        tracemalloc.start()
+        try:
+            sim._train(plans, snapshot, sim.round)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 64 stacked codebooks, which the uploads keep, are 8.4 MB; stepping
+        # the touched rows peaked 11.4 MB above them, and a dense stacked
+        # gradient with its `lr * g` adds two more 8.4 MB arrays to each step
+        uploads = LOCK_STEP_CLIENTS * sim.adapter.codebooks.nbytes
+        assert peak < uploads + 16e6
 
 
 class TestPhases:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import central_diff, relative_error
-from fedembed.numerics import (NEAREST_BLOCK, Mlp, kmeans, level_rows, mlp_backward,
+from conftest import central_diff, dense_grad, relative_error
+from fedembed.numerics import (NEAREST_BLOCK, Mlp, RowGrad, kmeans, level_rows, mlp_backward,
                                mlp_forward, nearest_rows, scatter_rows, sgd_step)
 
 
@@ -182,6 +182,23 @@ class TestSgd:
         with pytest.raises(ValueError, match="read-only"):
             sgd_step(p, np.ones(3), 0.1)
 
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 3, 3), (2, 3, 2, 3)])
+    def test_row_gradient_steps_its_rows_with_the_dense_bits(self, shape, rng):
+        # rows count over the leading axes: C stacked tables are one run of rows
+        p = rng.normal(0, 1, shape).astype(np.float32)
+        p[0] = -0.0
+        n = p.size // shape[-1]
+        g = RowGrad(np.array([0, 2, n - 1]), rng.normal(0, 1, (3, shape[-1])))
+        want = p - 0.05 * dense_grad(g, p).astype(np.float32)
+        sgd_step(p, g, 0.05)
+        assert p.tobytes() == want.tobytes()
+
+    def test_row_gradient_steps_a_strided_view_in_place(self):
+        whole = np.zeros((4, 6))
+        view = whole[:, ::2]
+        sgd_step(view, RowGrad(np.array([1]), np.ones((1, 3))), 0.5)
+        assert whole[1].tolist() == [-0.5, 0, -0.5, 0, -0.5, 0] and not whole[[0, 2, 3]].any()
+
     def test_list_of_tensors(self):
         params = [np.ones((2, 2)), np.ones(2)]
         grads = [np.full((2, 2), 2.0), np.full(2, 4.0)]
@@ -209,7 +226,8 @@ class TestNearestRows:
 
 
 def scatter_loop(like, idx, values):
-    """`scatter_rows` one index at a time, in C order of the positions."""
+    """The dense gradient of `like[idx]`, one index at a time, in C order of
+    the positions, as `scatter_rows` was before it kept the touched rows only."""
     out = np.zeros_like(like)
     for pos in np.ndindex(idx.shape):
         out[idx[pos]] += values[pos]
@@ -229,13 +247,16 @@ class TestScatterRows:
         finite = st.floats(-1e3, 1e3, width=np.dtype(dtype).itemsize * 8) | st.just(-0.0)
         values = data.draw(arrays(dtype, idx_shape + tail, elements=finite))
         like = np.full((n,) + tail, 7.0, dtype=dtype)      # only its shape and dtype count
-        got = scatter_rows(like, idx, values)
-        assert got.dtype == dtype and got.shape == like.shape
-        assert got.tobytes() == scatter_loop(like, idx, values).tobytes()
+        got = scatter_rows(idx, values, dtype)
+        want = scatter_loop(like, idx, values)
+        assert got.rows.tolist() == sorted(set(idx.ravel().tolist()))
+        assert got.values.dtype == dtype and got.values.shape == (len(got.rows),) + tail
+        assert got.values.tobytes() == want[got.rows].tobytes()
+        assert dense_grad(got, like).tobytes() == want.tobytes()
 
     def test_negative_zeros_sum_to_positive_zero(self):
-        got = scatter_rows(np.ones((2, 3)), np.array([[1, 1]]), np.full((1, 2, 3), -0.0))
-        assert got.tobytes() == np.zeros((2, 3)).tobytes()
+        got = scatter_rows(np.array([[1, 1]]), np.full((1, 2, 3), -0.0), np.float64)
+        assert got.rows.tolist() == [1] and got.values.tobytes() == np.zeros((1, 3)).tobytes()
 
     def test_level_rows_offsets_each_level(self):
         codes = np.array([[0, 3], [2, 1]])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import dense_grad
 from fedembed import pretrain
 from fedembed.numerics import Mlp, init_uniform, mlp_forward, sgd_step
 from fedembed.pretrain import (DivergenceError, PretrainConfig, RqVaeModel,
@@ -187,7 +188,7 @@ class TestTrainRqVae:
             return out
 
         def step(params, grads, lr):
-            stepped.append(np.array(grads[0]))
+            stepped.append(dense_grad(grads[0], params[0]))
             sgd_step(params, grads, lr)
 
         monkeypatch.setattr(pretrain, "rq_encode", encode)

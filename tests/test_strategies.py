@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import central_diff, relative_error
+from conftest import central_diff, dense_grad, relative_error
 from fedembed import strategies
 from fedembed.numerics import mlp_backward, sgd_step
 from fedembed.rng import RngStream
@@ -216,6 +216,8 @@ class TestGradStructure:
         out, cache = adapter.compose(base, [0])
         g = np.ones((1, 4))
         (dtable,) = adapter.grads(cache, g)
+        assert dtable.rows.tolist() == [3]
+        dtable = dense_grad(dtable, adapter.table)
         assert np.allclose(dtable[3], 2 * (g[0] / 2))   # = g
         assert not dtable[np.arange(8) != 3].any()
 
@@ -226,6 +228,7 @@ class TestGradStructure:
         base = np.zeros((2, 4))
         out, cache = adapter.compose(base, [0, 1])
         (d,) = adapter.grads(cache, np.ones((2, 4)))
+        d = dense_grad(d, books)
         assert d[0, 1].any() and d[1, 4].any() and d[1, 2].any()
         untouched = [(0, j) for j in (0, 2, 3, 4, 5)] + [(1, j) for j in (0, 1, 3, 5)]
         for lvl, row in untouched:
@@ -239,15 +242,26 @@ class TestGradStructure:
         g = rng.normal(0, 1, (1, 3))
         _, cache = adapter.compose(base, items)
         da, db = adapter.grads(cache, g)
-        assert np.allclose(da[2], adapter.b.T @ g[0])
+        assert da.rows.tolist() == [2]
+        assert np.allclose(da.values[0], adapter.b.T @ g[0])
         assert np.allclose(db, np.outer(g[0], adapter.a[2]))
 
 
+def assert_touched_rows_of(got, dense):
+    """A row gradient holds exactly the nonzero-indexed rows of the dense
+    reference, with their bytes, and the reference is zero elsewhere."""
+    assert got.values.dtype == dense.dtype
+    flat = dense.reshape((-1,) + got.values.shape[1:])
+    assert got.values.tobytes() == flat[got.rows].tobytes()
+    assert not np.delete(flat, got.rows, axis=0).any()
+
+
 class TestGradsKeepTheirBytes:
-    """`grads` through `numerics.scatter_rows` and the fixed map `idx` gives
-    the bytes of the formulas they replaced, kept here as the reference:
-    hash hashed the global ids and scattered over (B, h) with one
-    `np.add.at`; rqvae scattered level by level into each codebook."""
+    """`grads` through `numerics.scatter_rows` and the fixed map `idx` gives,
+    on the rows it touches, the bytes of the dense formulas they replaced,
+    kept here as the reference: hash hashed the global ids and scattered over
+    (B, h) with one `np.add.at`; rqvae scattered level by level into each
+    codebook."""
 
     @pytest.mark.parametrize("senet", [False, True], ids=["mean", "senet"])
     def test_hash(self, senet, rng):
@@ -269,7 +283,8 @@ class TestGradsKeepTheirBytes:
             dv = np.broadcast_to(g[:, None, :] / 3, v.shape)
         dtable = np.zeros_like(adapter.table)
         np.add.at(dtable, idx, dv)
-        assert got[0].dtype == dtable.dtype and got[0].tobytes() == dtable.tobytes()
+        assert got[0].rows.tolist() == np.unique(idx).tolist()
+        assert_touched_rows_of(got[0], dtable)
 
     def test_rqvae(self, rng):
         n, k, levels, d_r = 30, 5, 3, 4
@@ -284,7 +299,8 @@ class TestGradsKeepTheirBytes:
         d = np.zeros_like(adapter.codebooks)
         for j in range(levels):
             np.add.at(d[j], codes[items, j], g)
-        assert got.shape == d.shape and got.tobytes() == d.tobytes()
+        assert got.rows.tolist() == np.unique(codes[items] + d_r * np.arange(levels)).tolist()
+        assert_touched_rows_of(got, d)
 
 
 class TestCopy:
@@ -561,6 +577,14 @@ class TestCheckpoint:
         buf[23:27] = bytes(4)
         (tmp_path / "bad.fpeb").write_bytes(bytes(buf))
         with warnings.catch_warnings(), pytest.raises(ValueError, match="hash parameters"):
+            warnings.simplefilter("error")
+            load_checkpoint(tmp_path / "bad.fpeb")
+        # d_h = 0, with no table bytes: refused by the adapter, not by a first
+        # `compose` failing to index the empty table
+        buf = bytearray(self.checkpoint_bytes("hash", tmp_path, d_h=8, n_hashes=2, p=11))
+        buf[15:19] = bytes(4)
+        (tmp_path / "bad.fpeb").write_bytes(bytes(buf[:-8 * 5 * 4]))
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="d_h must be >= 1"):
             warnings.simplefilter("error")
             load_checkpoint(tmp_path / "bad.fpeb")
         # rqvae: ..., n, k, then levels, d_r and codes[0, 0]
