@@ -12,8 +12,9 @@ Runs, each into its own directory under `--out`:
 - `fedembed train` on a matrix of small configs (60 users x 120 items,
   5 rounds, 2 warm-up rounds, no pre-training) that covers each backbone,
   each strategy, both DP modes with and without `dp.clip`, `weighted`
-  aggregation, `local_epochs=0`, and clients without training positives
-  under local DP;
+  aggregation, `local_epochs=0`, clients without training positives
+  under local DP, and `batch_size=8`, where clients take several steps of
+  an epoch and short batches are padded;
 - `fedembed pretrain` for lora and rqvae, with a tiny pre-training;
 - `fedembed comm` with the default settings and with `strategy.p=4093`,
   `strategy.senet=true`, and a FedNCF `fedembed sweep` over `strategy.rank`
@@ -89,6 +90,12 @@ SMALL_RUNS = {
     "fedmf-lora-ldp-untrained": ("strategy.kind=lora", "data.min_interactions=0",
                                  "federation.sample_ratio=1", "dp.mode=ldp",
                                  "dp.delta=0.01"),
+    # at the default batch every client takes one step per epoch; these take
+    # several, with short padded batches and dropout over padded steps
+    "pfedrec-lora-batch8": ("backbone=pfedrec", "strategy.kind=lora",
+                            "federation.batch_size=8"),
+    "fedncf-hash-senet-batch8": ("backbone=fedncf", "strategy.kind=hash", "strategy.senet=true",
+                                 "strategy.d_h=256", "federation.batch_size=8"),
 }
 
 TINY_PRETRAIN = ("data.users=60", "data.items=120", "data.feature_dim=16",

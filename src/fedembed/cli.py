@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -45,9 +44,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = list(args.set)
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
-    out_env = os.environ.get("FEDEMBED_OUT")
-    if out_env:
-        overrides.append(f"out_dir={out_env}")
     if args.out_dir:
         overrides.append(f"out_dir={args.out_dir}")
     if args.rounds is not None:

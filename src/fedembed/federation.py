@@ -10,7 +10,7 @@ included, and a client's result does not depend on which clients share its
 chunk, so results do not depend on the order in which clients are trained.
 
 A client trains only the item rows it touches: the positives and negatives
-of all its local epochs, drawn by `_plan` before `_train` runs. Item-indexed
+of all its local epochs, laid out by `_draw` as a chunk's arrays. Item-indexed
 tensors go up as `RowUpload`s of those rows; every other tensor goes up
 whole. The fold is the round's snapshot plus each client's weighted change:
 a row upload costs O(rows * k), a row that no client uploads keeps its bytes,
@@ -22,6 +22,7 @@ uploads an empty row set that is clipped and noised like any other.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import math
@@ -91,13 +92,19 @@ def densify(t: Upload, snapshot: np.ndarray) -> np.ndarray:
     return out
 
 
-class ClientPlan(NamedTuple):
-    """A client's draws for one round: the item rows it holds and, per local
-    step, local ids into `rows` and their labels."""
+class Draws(NamedTuple):
+    """A chunk's draws, laid out for lock step: clients most steps first
+    (stably). Client j holds the sorted item rows `rows[starts[j]:starts[j + 1]]`,
+    and its step s trains on `items[s, j]`, ids into `rows`, with `labels[s, j]`
+    where `mask[s, j]`; padding points at the client's own first row."""
 
-    client: int
+    clients: np.ndarray
     rows: np.ndarray
-    steps: list[tuple[np.ndarray, np.ndarray]]
+    starts: np.ndarray      # (C + 1,)
+    n_steps: np.ndarray
+    items: np.ndarray       # (S, C, batch)
+    labels: np.ndarray      # float32, like `items`
+    mask: np.ndarray        # bool, like `items`
 
 
 def select_clients(n_users: int, ratio: float, streams: RngStream,
@@ -284,55 +291,55 @@ class Simulation:
                                     streams=self.streams.child("adapter_init"),
                                     codes=self.codes, **dataclasses.asdict(self.config.strategy))
 
-    def _plan(self, u: int, round_idx: int) -> ClientPlan:
-        """Client `u`'s keyed draws for a round: per local epoch, its
-        positives and `neg_per_pos` negatives each, shuffled and batched."""
+    def _draw(self, clients: list[int], round_idx: int) -> Draws:
+        """Keyed draws of `clients` for a round: per local epoch, each client's
+        positives and `neg_per_pos` negatives each, shuffled and batched. A
+        client with no positives or no epoch holds no row and takes no step."""
         cfg = self.config.federation
-        positives = self.split.train_positives[u]
-        epochs = []
-        for epoch in range(cfg.local_epochs):
-            neg_rng = self.streams.generator("train_neg", u, round_idx, epoch)
-            negs = choice_excluding(self.log.n_items, positives,
-                                    cfg.neg_per_pos * len(positives), neg_rng, replace=True)
-            items = np.concatenate([positives, negs])
-            labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
-                                     np.zeros(len(negs), dtype=np.float32)])
-            perm = self.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
-            epochs.append((items[perm], labels[perm]))
-        # the client holds only these rows and trains on local ids into them;
-        # a client with no positives or no epoch holds none and takes no step
-        rows = np.unique(np.concatenate([np.empty(0, np.int64), *(i for i, _ in epochs)]))
-        steps = []
-        for items, labels in epochs:
-            local = np.searchsorted(rows, items)
-            for start in range(0, len(items), cfg.batch_size):
-                sl = slice(start, start + cfg.batch_size)
-                steps.append((local[sl], labels[sl]))
-        return ClientPlan(u, rows, steps)
+        n, batch, epochs = self.log.n_items, cfg.batch_size, cfg.local_epochs
+        positives = [self.split.train_positives[u] for u in clients]
+        size = np.array([(1 + cfg.neg_per_pos) * len(p) for p in positives], dtype=np.int64)
+        per_epoch = -(-size // batch)       # steps per epoch
+        order = np.argsort(-per_epoch, kind="stable")
+        clients, size, per_epoch = np.array(clients)[order], size[order], per_epoch[order]
+        drawn, is_positive = [np.empty(0, np.int64)], [np.empty(0, bool)]
+        for u, pos, m in zip(clients.tolist(), [positives[j] for j in order], size.tolist()):
+            for epoch in range(epochs):
+                rng = self.streams.generator("train_neg", u, round_idx, epoch)
+                negs = choice_excluding(n, pos, cfg.neg_per_pos * len(pos), rng, replace=True)
+                perm = self.streams.generator("shuffle", u, round_idx, epoch).permutation(m)
+                drawn.append(np.concatenate([pos, negs])[perm])
+                is_positive.append(perm < len(pos))
+        # one np.unique over (client, item) keys gives each client's sorted rows
+        # and every sample's id into them; a client's i-th sample is position p
+        # of epoch e, at step e * per_epoch + p // batch, slot p % batch
+        owner = np.repeat(np.arange(len(clients)), epochs * size)
+        keys, ids = np.unique(owner * n + np.concatenate(drawn), return_inverse=True)
+        starts = np.searchsorted(keys, np.arange(len(clients) + 1) * n)
+        first = np.cumsum(epochs * size) - epochs * size
+        e, p = np.divmod(np.arange(len(owner)) - first[owner], size[owner])
+        at = (e * per_epoch[owner] + p // batch, owner, p % batch)
+        shape = (epochs * int(per_epoch.max(initial=0)), len(clients), batch)
+        items = np.broadcast_to(starts[:-1, None], shape).copy()
+        labels, mask = np.zeros(shape, dtype=np.float32), np.zeros(shape, dtype=bool)
+        items[at], labels[at], mask[at] = ids, np.concatenate(is_positive), True
+        return Draws(clients, keys % n, starts, epochs * per_epoch, items, labels, mask)
 
-    def _train(self, plans: list[ClientPlan], snapshot: list[np.ndarray], round_idx: int
-               ) -> list[tuple[list[Upload], UserState, float]]:
-        """Train plans in lock step from the round's snapshot (adapter tensors,
-        then the shared MLP's): per plan, the client's upload, clipped and
+    def _train(self, draws: Draws, snapshot: list[np.ndarray], round_idx: int
+               ) -> dict[int, tuple[list[Upload], UserState, float]]:
+        """Train a chunk in lock step from the round's snapshot (adapter
+        tensors, then the shared MLP's): per client id, its upload, clipped and
         noised as `dp` says, its new state and its mean loss (nan when it took
-        no step). Each client's result is the same whichever plans share the call.
+        no step), the same whichever clients share the chunk.
 
-        The plans' row sets are concatenated, and every other tensor (the
-        adapter's shared ones, the shared MLP, the private state) is stacked
-        over a leading client axis; clients are laid out by step count, most
-        first. Step s is one `local_step` of the first a clients, those with
-        an s-th step, over views of the stacked copies, so a client past its
-        last step is left alone. A short batch is padded with the client's
-        own first row and masked. Dropout masks come from each client's own
-        keyed generator.
-        """
-        cfg, dp, c = self.config.federation, self.config.dp, len(plans)
-        order = sorted(range(c), key=lambda j: -len(plans[j].steps))
-        clients = np.array([plans[j].client for j in order], dtype=np.int64)
-        sizes = np.array([len(plans[j].rows) for j in order], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        rows = np.concatenate([np.empty(0, np.int64), *(plans[j].rows for j in order)])
+        The chunk holds its clients' rows of the item-indexed tensors and
+        stacks every other tensor (the adapter's shared ones, the shared MLP,
+        the private state) over a leading client axis. Step s is one
+        `local_step` of the first a clients, those with an s-th step, over
+        views of the stacked copies. Dropout masks come from each client's
+        own keyed generator."""
+        cfg, dp = self.config.federation, self.config.dp
+        clients, rows, starts, c = draws.clients, draws.rows, draws.starts, len(draws.clients)
         adapter = self.adapter.copy(rows, clients=c)
         base = self.base.table[rows]
         users = self.user_states[clients]
@@ -348,34 +355,24 @@ class Simulation:
         # keyed, so leaving them out where no dropout runs moves no other draw
         rngs = None
         if any(m is not None and m.dropout > 0 for m in (mlp, users.mlp)):
-            rngs = [self.streams.generator("dropout", int(u), round_idx) for u in clients]
-        n_steps = [len(plans[j].steps) for j in order]
-        shape = (max(n_steps, default=0), c, cfg.batch_size)
-        items = np.broadcast_to(starts[:, None], shape).copy()
-        labels = np.zeros(shape, dtype=np.float32)
-        mask = np.zeros(shape, dtype=bool)
-        for j, p in enumerate(order):
-            for s, (local, y) in enumerate(plans[p].steps):
-                items[s, j, :len(local)] = local + starts[j]
-                labels[s, j, :len(y)] = y
-                mask[s, j, :len(local)] = True
-        losses = np.zeros(shape[:2])
-        item_indexed = self.adapter.item_indexed
-        for s in range(shape[0]):
-            a = sum(n > s for n in n_steps)
-            view = dataclasses.replace(adapter, **{
-                name: t[:ends[a - 1]] if i in item_indexed else t[:a]
-                for i, (name, t) in enumerate(zip(adapter.trained, adapter.trainable()))})
-            losses[s, :a] = local_step(*clients_at(slice(a)), view, base, items[s, :a],
-                                       labels[s, :a], cfg.lr, None if rngs is None else rngs[:a],
-                                       mask=mask[s, :a])
+            rngs = [self.streams.generator("dropout", u, round_idx) for u in clients.tolist()]
+        losses = np.zeros(draws.items.shape[:2])
+        item_indexed, params = self.adapter.item_indexed, adapter.trainable()
+        # a shallow copy rebinds without re-running the adapter's checks and maps
+        view = copy.copy(adapter)
+        for s in range(len(draws.items)):
+            a = int(np.count_nonzero(draws.n_steps > s))
+            for i, (name, t) in enumerate(zip(adapter.trained, params)):
+                setattr(view, name, t[:starts[a]] if i in item_indexed else t[:a])
+            losses[s, :a] = local_step(*clients_at(slice(a)), view, base, draws.items[s, :a],
+                                       draws.labels[s, :a], cfg.lr,
+                                       None if rngs is None else rngs[:a], mask=draws.mask[s, :a])
 
-        results = []
-        params = adapter.trainable()
-        for plan, j in zip(plans, np.argsort(order)):
-            u, n = plan.client, n_steps[j]
+        results = {}
+        for j, u in enumerate(clients.tolist()):
+            n, own = draws.n_steps[j], slice(starts[j], starts[j + 1])
             backbone, state = clients_at(j)
-            tensors = [RowUpload(plan.rows, t[starts[j]:ends[j]]) if i in item_indexed else t[j]
+            tensors = [RowUpload(rows[own], t[own]) if i in item_indexed else t[j]
                        for i, t in enumerate(params)] + _backbone_tensors(backbone)
             for t in tensors:
                 check_finite(t.values if isinstance(t, RowUpload) else t,
@@ -390,8 +387,7 @@ class Simulation:
             if dp.mode == "ldp":
                 tensors = apply_ldp([densify(t, snap) for t, snap in zip(tensors, snapshot)],
                                     dp, self.streams.generator("dp", u, round_idx))
-            results.append((tensors, state, float(np.mean(losses[:n, j])) if n
-                            else float("nan")))
+            results[u] = (tensors, state, float(np.mean(losses[:n, j])) if n else float("nan"))
         return results
 
     def client_upload_bytes(self) -> int:
@@ -404,19 +400,21 @@ class Simulation:
         self._maybe_transition()
         round_idx, phase = self.round, self.phase
 
-        clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams, round_idx)
+        clients = select_clients(self.log.n_users, cfg.sample_ratio, self.streams,
+                                 round_idx).tolist()
         upload_bytes = self.client_upload_bytes()
         n_adapter = len(self.adapter.trainable())
         snapshot = self.adapter.trainable() + _backbone_tensors(self.backbone)
-        plans = [self._plan(int(u), round_idx) for u in clients]
-        results = [result for start in range(0, len(plans), LOCK_STEP_CLIENTS)
-                   for result in self._train(plans[start:start + LOCK_STEP_CLIENTS], snapshot,
-                                             round_idx)]
+        by_client = {}
+        for start in range(0, len(clients), LOCK_STEP_CLIENTS):
+            draws = self._draw(clients[start:start + LOCK_STEP_CLIENTS], round_idx)
+            by_client.update(self._train(draws, snapshot, round_idx))
+        results = [by_client[u] for u in clients]       # folded in client-id order
 
         weights = None
         if cfg.aggregation == "weighted":
-            weights = np.array([max(len(self.split.train_positives[plan.client]), 1)
-                                for plan in plans], dtype=np.float64)
+            weights = np.array([max(len(self.split.train_positives[u]), 1) for u in clients],
+                               dtype=np.float64)
         agg = aggregate([tensors for tensors, _, _ in results], snapshot, weights)
         if self.config.dp.mode == "cdp":
             agg = apply_cdp(agg, self.config.dp, self.streams.generator("dp_server", round_idx))
@@ -425,17 +423,17 @@ class Simulation:
             check_finite(t, "the fold of round %d", round_idx)
         self.adapter.set_trainable(agg[:n_adapter])
         _install_backbone(self.backbone, agg[n_adapter:])
-        for plan, (_, state, _) in zip(plans, results):
-            self.user_states[plan.client] = state
+        for u, (_, state, _) in zip(clients, results):
+            self.user_states[u] = state
 
         self.round += 1
         trained_losses = [loss for _, _, loss in results if not math.isnan(loss)]
         report = RoundReport(
             round=round_idx,
             phase=phase,
-            clients=[plan.client for plan in plans],
+            clients=clients,
             bytes_per_client=upload_bytes,
-            aggregate_bytes=upload_bytes * len(plans),
+            aggregate_bytes=upload_bytes * len(clients),
             train_loss=float(np.mean(trained_losses)) if trained_losses else float("nan"),
             base_hash=hashlib.sha256(self.base.table.tobytes()).hexdigest(),
         )

@@ -458,9 +458,10 @@ def save_checkpoint(path: str | Path, base: FullEmbeddingTable, adapter: Adapter
 def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
     """Read what `save_checkpoint` wrote; a `full` checkpoint's table is its
     own adapter, so it comes back as the same object twice. A truncated
-    section, trailing bytes, and hash parameters or codes out of range
-    (checked by the adapters) raise a `ValueError` that names the section, and
-    a NaN or infinity in the base table or adapter a `FloatingPointError`."""
+    section, trailing bytes, a lora rank or rqvae levels below 1, and hash
+    parameters or codes out of range (checked by the adapters) raise a
+    `ValueError` that names the section or field, and a NaN or infinity in
+    the base table or adapter a `FloatingPointError`."""
     buf = Path(path).read_bytes()
     if buf[:4] != _MAGIC:
         raise ValueError("not an embedding checkpoint (bad magic)")
@@ -496,11 +497,15 @@ def load_checkpoint(path: str | Path) -> tuple[FullEmbeddingTable, Adapter]:
     n, k = ints("header", "<II")
     if name == "lora":
         (rank,) = ints("header", "<I")
+        if rank < 1:
+            raise ValueError(f"checkpoint header: lora rank must be >= 1, got {rank}")
     elif name in ("hash", "hash_senet"):
         d_h, h, p, h1 = ints("hash parameters", "<IIII")
         ha, hb = u4("hash parameters", h), u4("hash parameters", h)
     elif name == "rqvae":
         levels, d_r = ints("codes", "<II")
+        if levels < 1:
+            raise ValueError(f"checkpoint header: rqvae levels must be >= 1, got {levels}")
         codes = u4("codes", n, levels)
     base = FullEmbeddingTable(f4("base table", n, k))
 

@@ -186,40 +186,58 @@ STRATEGIES = pytest.mark.parametrize("kind,senet", [("full", False), ("lora", Fa
                                                     ("rqvae", False)])
 
 
-def private_copies(sim, plan, round_idx):
+@pytest.fixture(scope="module")
+def draw_sim():
+    """A simulation for draw tests, which leave it as it is: two local epochs
+    of batches of 8, and some users without a training positive."""
+    return Simulation(small_config(**{"federation.local_epochs": 2,
+                                      "federation.batch_size": 8,
+                                      "data.min_interactions": 0}))
+
+
+def steps_of(draws, j=0):
+    """Client j's real steps in `draws`: (ids into `draws.rows`, labels) each."""
+    return [(draws.items[s, j][draws.mask[s, j]], draws.labels[s, j][draws.mask[s, j]])
+            for s in range(draws.n_steps[j])]
+
+
+def private_copies(sim, u, round_idx):
     """A client's private copies of the shared MLP and of its state, and its
     dropout generator (None where no dropout runs), as a client trained alone."""
     backbone = copy.deepcopy(sim.backbone)
-    state = copy.deepcopy(sim.user_states[plan.client])
+    state = copy.deepcopy(sim.user_states[u])
     dropout = any(m is not None and m.dropout > 0 for m in (backbone.mlp, state.mlp))
-    rng = sim.streams.generator("dropout", plan.client, round_idx) if dropout else None
+    rng = sim.streams.generator("dropout", u, round_idx) if dropout else None
     return backbone, state, rng
 
 
-def dense_reference_client(sim, plan, round_idx):
+def dense_reference_client(sim, draws, round_idx):
     """A client that copies the whole adapter and steps it on the global item
-    ids `plan.rows[local]` of a `Simulation._plan`."""
+    ids `draws.rows[ids]` of a one-client `Simulation._draw`."""
     cfg = sim.config.federation
+    [u] = draws.clients.tolist()
     adapter = sim.adapter.copy()
-    backbone, state, rng = private_copies(sim, plan, round_idx)
-    losses = [local_step(backbone, state, adapter, sim.base.table, plan.rows[local], labels,
-                         cfg.lr, rng) for local, labels in plan.steps]
+    backbone, state, rng = private_copies(sim, u, round_idx)
+    losses = [local_step(backbone, state, adapter, sim.base.table, draws.rows[ids], labels,
+                         cfg.lr, rng) for ids, labels in steps_of(draws)]
     shared = [] if backbone.mlp is None else backbone.mlp.params()
     return adapter.trainable() + shared, state, float(np.mean(losses))
 
 
-def per_client_reference(sim, plans, snapshot, round_idx):
+def per_client_reference(sim, draws, snapshot, round_idx):
     """`Simulation._train` as clients trained before lock step: one after
-    another, each on private copies of its rows, the adapter's shared
-    tensors, the shared MLP and its state, then clipped and noised."""
+    another, each drawn alone and trained on private copies of its rows, the
+    adapter's shared tensors, the shared MLP and its state, then clipped and
+    noised."""
     cfg, dp = sim.config.federation, sim.config.dp
-    results = []
-    for plan in plans:
-        adapter, base = sim.adapter.copy(plan.rows), sim.base.table[plan.rows]
-        backbone, state, rng = private_copies(sim, plan, round_idx)
-        losses = [local_step(backbone, state, adapter, base, local, labels, cfg.lr, rng)
-                  for local, labels in plan.steps]
-        tensors = [RowUpload(plan.rows, t) if i in sim.adapter.item_indexed else t
+    results = {}
+    for u in draws.clients.tolist():
+        one = sim._draw([u], round_idx)
+        adapter, base = sim.adapter.copy(one.rows), sim.base.table[one.rows]
+        backbone, state, rng = private_copies(sim, u, round_idx)
+        losses = [local_step(backbone, state, adapter, base, ids, labels, cfg.lr, rng)
+                  for ids, labels in steps_of(one)]
+        tensors = [RowUpload(one.rows, t) if i in sim.adapter.item_indexed else t
                    for i, t in enumerate(adapter.trainable())]
         tensors += [] if backbone.mlp is None else backbone.mlp.params()
         if dp.clip is not None:
@@ -228,9 +246,15 @@ def per_client_reference(sim, plans, snapshot, round_idx):
                        for t, s in zip(tensors, snapshot)]
         if dp.mode == "ldp":
             tensors = privacy.apply_ldp([densify(t, s) for t, s in zip(tensors, snapshot)],
-                                        dp, sim.streams.generator("dp", plan.client, round_idx))
-        results.append((tensors, state, float(np.mean(losses)) if losses else float("nan")))
+                                        dp, sim.streams.generator("dp", u, round_idx))
+        results[u] = (tensors, state, float(np.mean(losses)) if losses else float("nan"))
     return results
+
+
+def train_alone(sim, u, snapshot, round_idx):
+    """Client `u`'s result from a chunk of one."""
+    [result] = sim._train(sim._draw([u], round_idx), snapshot, round_idx).values()
+    return result
 
 
 def upload_bytes(tensors):
@@ -286,9 +310,9 @@ class TestClientRound:
             sim.run_round()      # adapter tensors away from their zero start
         snapshot = round_snapshot(sim)
         u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
-        plan = sim._plan(u, sim.round)
-        [(tensors, state, loss)] = sim._train([plan], snapshot, sim.round)
-        want, want_state, want_loss = dense_reference_client(sim, plan, sim.round)
+        draws = sim._draw([u], sim.round)
+        [(tensors, state, loss)] = sim._train(draws, snapshot, sim.round).values()
+        want, want_state, want_loss = dense_reference_client(sim, draws, sim.round)
         assert len(tensors) == len(snapshot)
         got = [densify(t, s) for t, s in zip(tensors, snapshot)]
         assert np.isfinite(loss)
@@ -320,8 +344,7 @@ class TestClientRound:
         for _ in range(2):            # a warm-up round, then an adapter round
             sim._maybe_transition()
             before = server_state_bytes(sim)
-            [(_, _, loss)] = sim._train([sim._plan(u, sim.round)], round_snapshot(sim),
-                                        sim.round)
+            _, _, loss = train_alone(sim, u, round_snapshot(sim), sim.round)
             assert np.isfinite(loss)
             assert server_state_bytes(sim) == before
             sim.run_round()
@@ -337,32 +360,77 @@ class TestClientRound:
                 FloatingPointError, match=r"private state of client \d+ at round 0"):
             sim.run_round()
 
-    def test_plan_draws_the_keyed_negatives_and_shuffle(self):
-        cfg = small_config(**{"federation.local_epochs": 2, "federation.batch_size": 8})
-        fed, round_idx = cfg.federation, 3
-        sim = Simulation(cfg)
-        u = next(u for u in range(sim.log.n_users) if len(sim.split.train_positives[u]))
-        positives = sim.split.train_positives[u]
-        want = []       # (global item ids, labels) per local step
-        for epoch in range(fed.local_epochs):
-            negs = choice_excluding(sim.log.n_items, positives,
-                                    fed.neg_per_pos * len(positives),
-                                    sim.streams.generator("train_neg", u, round_idx, epoch),
-                                    replace=True)
-            items = np.concatenate([positives, negs])
-            labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
-                                     np.zeros(len(negs), dtype=np.float32)])
-            perm = sim.streams.generator("shuffle", u, round_idx, epoch).permutation(len(items))
-            items, labels = items[perm], labels[perm]
-            want += [(items[start:start + fed.batch_size], labels[start:start + fed.batch_size])
-                     for start in range(0, len(items), fed.batch_size)]
-        plan = sim._plan(u, round_idx)
-        assert plan.client == u
-        assert np.array_equal(plan.rows, np.unique(np.concatenate([i for i, _ in want])))
-        assert len(plan.steps) == len(want)
-        for (local, labels), (items, want_labels) in zip(plan.steps, want):
-            assert np.array_equal(plan.rows[local], items)
-            assert labels.tobytes() == want_labels.tobytes()
+    def test_draw_lays_out_the_keyed_negatives_and_shuffle(self, draw_sim):
+        sim, round_idx = draw_sim, 3
+        fed = sim.config.federation
+
+        def reference(u):
+            """Client u's steps, drawn alone: (global item ids, labels) each."""
+            positives = sim.split.train_positives[u]
+            steps = []
+            for epoch in range(fed.local_epochs):
+                negs = choice_excluding(sim.log.n_items, positives,
+                                        fed.neg_per_pos * len(positives),
+                                        sim.streams.generator("train_neg", u, round_idx, epoch),
+                                        replace=True)
+                items = np.concatenate([positives, negs])
+                labels = np.concatenate([np.ones(len(positives), dtype=np.float32),
+                                         np.zeros(len(negs), dtype=np.float32)])
+                perm = sim.streams.generator("shuffle", u, round_idx, epoch).permutation(
+                    len(items))
+                items, labels = items[perm], labels[perm]
+                steps += [(items[start:start + fed.batch_size],
+                           labels[start:start + fed.batch_size])
+                          for start in range(0, len(items), fed.batch_size)]
+            return steps
+
+        clients = [7, 2, 9, 0, 5, 11, 3, 30, 16, 21]
+        want = {u: reference(u) for u in clients}
+        n_steps = sorted(len(steps) for steps in want.values())
+        # several step counts, ties among them, and a client without a step
+        assert len(set(n_steps)) >= 3 and len(set(n_steps)) < len(clients) and n_steps[0] == 0
+        draws = sim._draw(clients, round_idx)
+        # most steps first; clients with as many steps keep their order
+        order = sorted(clients, key=lambda u: -len(want[u]))
+        assert draws.clients.tolist() == order
+        assert draws.n_steps.tolist() == [len(want[u]) for u in order]
+        assert draws.items.shape == (n_steps[-1], len(clients), fed.batch_size)
+        assert draws.labels.dtype == np.float32
+        assert draws.starts[0] == 0 and draws.starts[-1] == len(draws.rows)
+        for j, u in enumerate(order):
+            start, end = draws.starts[j], draws.starts[j + 1]
+            drawn = np.concatenate([np.empty(0, np.int64), *(items for items, _ in want[u])])
+            assert np.array_equal(draws.rows[start:end], np.unique(drawn))
+            for s in range(len(draws.items)):
+                items, labels, mask = draws.items[s, j], draws.labels[s, j], draws.mask[s, j]
+                width = len(want[u][s][0]) if s < len(want[u]) else 0
+                assert mask.tolist() == [True] * width + [False] * (fed.batch_size - width)
+                # pads point at the client's own first row, with label 0
+                assert (items[~mask] == start).all() and (labels[~mask] == 0).all()
+                if width:
+                    assert ((start <= items[mask]) & (items[mask] < end)).all()
+                    assert np.array_equal(draws.rows[items[mask]], want[u][s][0])
+                    assert labels[mask].tobytes() == want[u][s][1].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    # any of small_config's 40 users, in any order
+    @given(clients=st.lists(st.integers(0, 39), min_size=1, max_size=12, unique=True),
+           round_idx=st.integers(0, 5))
+    def test_a_clients_draws_do_not_depend_on_who_shares_the_call(self, draw_sim, clients,
+                                                                  round_idx):
+        sim = draw_sim
+        draws = sim._draw(clients, round_idx)
+        assert sorted(draws.clients.tolist()) == sorted(clients)
+        for j, u in enumerate(draws.clients.tolist()):
+            alone = sim._draw([u], round_idx)
+            start, end = draws.starts[j], draws.starts[j + 1]
+            assert draws.rows[start:end].tobytes() == alone.rows.tobytes()
+            assert draws.n_steps[j] == alone.n_steps[0]
+            for s in range(alone.n_steps[0]):
+                mask = alone.mask[s, 0]
+                assert np.array_equal(draws.mask[s, j], mask)
+                assert np.array_equal(draws.items[s, j][mask] - start, alone.items[s, 0][mask])
+                assert draws.labels[s, j].tobytes() == alone.labels[s, 0].tobytes()
 
     @pytest.mark.parametrize("dp", [{}, {"dp.mode": "ldp", "dp.delta": 0.01, "dp.clip": 0.05}],
                              ids=["no-dp", "ldp-clip"])
@@ -376,15 +444,15 @@ class TestClientRound:
         sim = Simulation(cfg)
         for _ in adapter_rounds(sim):
             snapshot = round_snapshot(sim)
-            plans = [sim._plan(int(u), sim.round) for u in
-                     select_clients(sim.log.n_users, 0.5, sim.streams, sim.round)]
-            assert len({len(plan.steps) for plan in plans}) > 1
-            want = dict(zip([plan.client for plan in plans],
-                            sim._train(plans, snapshot, sim.round)))
-            for subset in (plans[::-1], plans[1::3]):
-                for plan, (up, state, loss) in zip(subset, sim._train(subset, snapshot,
-                                                                       sim.round)):
-                    up_w, state_w, loss_w = want[plan.client]
+            clients = select_clients(sim.log.n_users, 0.5, sim.streams, sim.round).tolist()
+            draws = sim._draw(clients, sim.round)
+            assert len(set(draws.n_steps.tolist())) > 1
+            want = sim._train(draws, snapshot, sim.round)
+            for subset in (clients[::-1], clients[1::3]):
+                got = sim._train(sim._draw(subset, sim.round), snapshot, sim.round)
+                assert sorted(got) == sorted(subset)
+                for u, (up, state, loss) in got.items():
+                    up_w, state_w, loss_w = want[u]
                     assert upload_bytes(up) == upload_bytes(up_w)
                     assert [t.tobytes() for t in state_tensors(state)] == \
                         [t.tobytes() for t in state_tensors(state_w)]
@@ -402,8 +470,8 @@ class TestClientRound:
                               "federation.sample_ratio": 0.5, "federation.lr": 0.5,
                               "federation.batch_size": 8, **setting})
         engine, reference = Simulation(cfg), Simulation(cfg)
-        reference._train = lambda plans, snapshot, r: per_client_reference(
-            reference, plans, snapshot, r)
+        reference._train = lambda draws, snapshot, r: per_client_reference(
+            reference, draws, snapshot, r)
         no_step = []
         for _ in range(3):      # a warm-up round, then two adapter rounds
             no_step += [u for u in select_clients(engine.log.n_users, 0.5, engine.streams,
@@ -426,12 +494,14 @@ class TestClientRound:
         sim = Simulation(cfg)
         for _ in adapter_rounds(sim):     # a warm-up round, then an adapter round
             snapshot = round_snapshot(sim)
-            plans = [sim._plan(u, sim.round) for u in range(sim.log.n_users)]
-            chunked = [result for start in range(0, len(plans), LOCK_STEP_CLIENTS)
-                       for result in sim._train(plans[start:start + LOCK_STEP_CLIENTS],
-                                                snapshot, sim.round)]
-            for plan, (up, state, loss) in zip(plans, chunked):
-                [(up_1, state_1, loss_1)] = sim._train([plan], snapshot, sim.round)
+            clients = list(range(sim.log.n_users))
+            chunked = {}
+            for start in range(0, len(clients), LOCK_STEP_CLIENTS):
+                draws = sim._draw(clients[start:start + LOCK_STEP_CLIENTS], sim.round)
+                chunked.update(sim._train(draws, snapshot, sim.round))
+            assert sorted(chunked) == clients
+            for u, (up, state, loss) in chunked.items():
+                up_1, state_1, loss_1 = train_alone(sim, u, snapshot, sim.round)
                 assert upload_bytes(up) == upload_bytes(up_1)
                 assert [t.tobytes() for t in state_tensors(state)] == \
                     [t.tobytes() for t in state_tensors(state_1)]
@@ -440,7 +510,7 @@ class TestClientRound:
     def test_zero_local_epochs_returns_snapshot_bits(self):
         sim = Simulation(small_config(**{"federation.local_epochs": 0}))
         snapshot = round_snapshot(sim)
-        [(tensors, _, loss)] = sim._train([sim._plan(3, 0)], snapshot, 0)
+        tensors, _, loss = train_alone(sim, 3, snapshot, 0)
         assert np.isnan(loss)
         for got, snap in zip(tensors, snapshot):
             assert len(got.rows) == 0
@@ -470,7 +540,7 @@ class TestClientRound:
         cfg = small_config(backbone="pfedrec")
         sim = Simulation(cfg)
         snapshot = round_snapshot(sim)
-        [(tensors, _, _)] = sim._train([sim._plan(1, 0)], snapshot, 0)
+        tensors, _, _ = train_alone(sim, 1, snapshot, 0)
         # upload consists solely of the item-side table in warm-up
         shapes = [densify(t, s).shape for t, s in zip(tensors, snapshot)]
         assert shapes == [(sim.log.n_items, cfg.k)]
@@ -479,8 +549,8 @@ class TestClientRound:
     def test_same_key_same_update(self):
         sim = Simulation(small_config())
         snapshot = round_snapshot(sim)
-        [(a, _, loss_a)] = sim._train([sim._plan(2, 1)], snapshot, 1)
-        [(b, _, loss_b)] = sim._train([sim._plan(2, 1)], snapshot, 1)
+        a, _, loss_a = train_alone(sim, 2, snapshot, 1)
+        b, _, loss_b = train_alone(sim, 2, snapshot, 1)
         assert loss_a == loss_b
         assert upload_bytes(a) == upload_bytes(b)
 
@@ -541,10 +611,10 @@ class TestRoundMemory:
         sim.run_round()
         sim._maybe_transition()
         snapshot = round_snapshot(sim)
-        plans = [sim._plan(u, sim.round) for u in range(LOCK_STEP_CLIENTS)]
+        draws = sim._draw(list(range(LOCK_STEP_CLIENTS)), sim.round)
         tracemalloc.start()
         try:
-            sim._train(plans, snapshot, sim.round)
+            sim._train(draws, snapshot, sim.round)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -659,8 +729,7 @@ class TestDp:
             sim._maybe_transition()
             snapshot = round_snapshot(sim)
             for u in select_clients(sim.log.n_users, 0.25, sim.streams, sim.round):
-                [(tensors, _, _)] = sim._train([sim._plan(int(u), sim.round)], snapshot,
-                                               sim.round)
+                tensors, _, _ = train_alone(sim, int(u), snapshot, sim.round)
                 for t, s in zip(tensors, snapshot):
                     norms.append(np.linalg.norm(densify(t, s).astype(np.float64) - s))
             sim.run_round()

@@ -593,3 +593,16 @@ class TestCheckpoint:
         (tmp_path / "bad.fpeb").write_bytes(bytes(buf))
         with pytest.raises(ValueError, match="codes"):
             load_checkpoint(tmp_path / "bad.fpeb")
+        # lora rank = 0 at 15:19, with no adapter bytes: it would compose as
+        # an identity adapter
+        buf = self.checkpoint_bytes("lora", tmp_path, rank=3)
+        bad = buf[:15] + bytes(4) + buf[19:19 + 7 * 5 * 4]
+        (tmp_path / "bad.fpeb").write_bytes(bad)
+        with pytest.raises(ValueError, match="header: lora rank must be >= 1"):
+            load_checkpoint(tmp_path / "bad.fpeb")
+        # rqvae levels = 0 at 15:19, with no codes and no codebook bytes
+        buf = self.checkpoint_bytes("rqvae", tmp_path, levels=2, d_r=4)
+        bad = buf[:15] + bytes(4) + buf[19:23] + buf[23 + 7 * 2 * 4:][:7 * 5 * 4]
+        (tmp_path / "bad.fpeb").write_bytes(bad)
+        with pytest.raises(ValueError, match="header: rqvae levels must be >= 1"):
+            load_checkpoint(tmp_path / "bad.fpeb")
